@@ -14,7 +14,7 @@ use crate::stages::StagePipeline;
 use enblogue_entity::tagger::EntityTagger;
 use enblogue_stream::event::Event;
 use enblogue_stream::operator::{EventSink, Operator};
-use enblogue_types::{Document, RankingSnapshot, TagInterner, TagKind};
+use enblogue_types::{Document, RankingSnapshot, TagId, TagInterner, TagKind};
 use std::sync::{Arc, Mutex};
 
 /// Shared handle to the snapshots emitted by an [`EngineOp`].
@@ -33,6 +33,9 @@ pub type SnapshotHandle = Arc<Mutex<Vec<RankingSnapshot>>>;
 pub struct EntityTagOp {
     tagger: Arc<EntityTagger>,
     interner: TagInterner,
+    /// By entity id: the interned tag, resolved on the entity's first
+    /// mention so a repeat mention never touches the interner.
+    entity_tags: Vec<Option<TagId>>,
     keep_text: bool,
     /// Documents processed (metrics).
     tagged_docs: u64,
@@ -43,7 +46,8 @@ pub struct EntityTagOp {
 impl EntityTagOp {
     /// An operator around `tagger`, interning into `interner`.
     pub fn new(tagger: Arc<EntityTagger>, interner: TagInterner) -> Self {
-        EntityTagOp { tagger, interner, keep_text: false, tagged_docs: 0, mentions: 0 }
+        let entity_tags = vec![None; tagger.gazetteer().entity_count()];
+        EntityTagOp { tagger, interner, entity_tags, keep_text: false, tagged_docs: 0, mentions: 0 }
     }
 
     /// Keeps the raw text on documents (for downstream debugging).
@@ -58,7 +62,8 @@ impl EntityTagOp {
             self.tagged_docs += 1;
             for mention in self.tagger.tag_text(text) {
                 self.mentions += 1;
-                let id = self.interner.intern(&mention.name, TagKind::Entity);
+                let id = *self.entity_tags[mention.entity.index()]
+                    .get_or_insert_with(|| self.interner.intern(&mention.name, TagKind::Entity));
                 doc.entities.push(id);
             }
             doc.normalize();
@@ -213,6 +218,25 @@ mod tests {
         let id = interner.get("barack obama", TagKind::Entity).expect("canonical name interned");
         assert!(tagged.has_entity(id));
         assert!(tagged.text.is_none(), "text dropped after tagging");
+    }
+
+    #[test]
+    fn entity_op_repeat_mentions_resolve_to_the_interned_tag() {
+        let interner = TagInterner::new();
+        let mut op = EntityTagOp::new(tagger(), interner.clone());
+        let mut out: Vec<Event> = Vec::new();
+        for (id, text) in [(1, "Obama speaks"), (2, "Barack Obama again, says Obama")] {
+            op.process(
+                Event::Doc(Document::builder(id, Timestamp::ZERO).text(text).build()),
+                &mut out,
+            );
+        }
+        let tag = interner.get("barack obama", TagKind::Entity).expect("canonical name interned");
+        assert_eq!(interner.len(), 1, "one entity, interned once");
+        for event in &out {
+            assert_eq!(event.as_doc().unwrap().entities, vec![tag]);
+        }
+        assert_eq!((op.tagged_docs, op.mentions), (2, 3));
     }
 
     #[test]

@@ -4,6 +4,11 @@
 //! canonical entities. Redirects ("map different namings of a single entity
 //! to one unique name", §3) are first-class: an alias phrase resolves to
 //! the same [`EntityId`] as its canonical title.
+//!
+//! [`GazetteerBuilder::build`] compiles the phrases into a token
+//! vocabulary plus a trie over token ids, so titles and redirects share
+//! prefixes and the tagger pays one vocabulary probe per token of text and
+//! one trie step per token of a candidate mention — never a string join.
 
 use crate::tokenize::normalize_phrase;
 use enblogue_types::FxHashMap;
@@ -21,15 +26,26 @@ impl EntityId {
     }
 }
 
+/// Dense id of a token that occurs in some phrase.
+pub(crate) type TokenId = u32;
+
+/// A node of the phrase trie; [`Gazetteer::ROOT`] is the empty phrase.
+pub(crate) type NodeId = u32;
+
 /// Immutable phrase → entity dictionary with redirects.
 #[derive(Debug, Clone)]
 pub struct Gazetteer {
-    /// normalised phrase → entity. Contains titles *and* redirect aliases.
-    phrases: FxHashMap<String, EntityId>,
+    /// Every token of every phrase (titles *and* redirect aliases).
+    vocabulary: FxHashMap<Box<str>, TokenId>,
+    /// The phrase trie: `(node, next token) → node`.
+    edges: FxHashMap<(NodeId, TokenId), NodeId>,
+    /// By node: the entity whose title or alias ends there.
+    terminals: Vec<Option<EntityId>>,
     /// Canonical names by entity id.
     canonical: Vec<Arc<str>>,
-    /// Longest phrase (in tokens) present; lookups never probe beyond this.
+    /// Longest phrase (in tokens) present: the depth of the trie.
     max_phrase_len: usize,
+    phrase_count: usize,
     redirect_count: usize,
 }
 
@@ -54,7 +70,7 @@ impl Gazetteer {
 
     /// Number of lookup keys (titles + redirects).
     pub fn phrase_count(&self) -> usize {
-        self.phrases.len()
+        self.phrase_count
     }
 
     /// Longest phrase length in tokens (≤ [`Self::MAX_NGRAM`]).
@@ -70,7 +86,11 @@ impl Gazetteer {
     /// Looks up an already-normalised phrase (tokens joined by single
     /// spaces, lowercase). Resolves through redirects.
     pub fn lookup_normalized(&self, phrase: &str) -> Option<EntityId> {
-        self.phrases.get(phrase).copied()
+        let mut node = Self::ROOT;
+        for token in phrase.split(' ') {
+            node = self.child(node, self.token_id(token)?)?;
+        }
+        self.terminal(node)
     }
 
     /// Looks up an arbitrary phrase, normalising it first.
@@ -81,6 +101,27 @@ impl Gazetteer {
     /// Iterates canonical names with their ids.
     pub fn entities(&self) -> impl Iterator<Item = (EntityId, &Arc<str>)> {
         self.canonical.iter().enumerate().map(|(i, name)| (EntityId(i as u32), name))
+    }
+
+    /// The trie node of the empty phrase.
+    pub(crate) const ROOT: NodeId = 0;
+
+    /// The id of a normalised token, if any phrase contains it.
+    #[inline]
+    pub(crate) fn token_id(&self, token: &str) -> Option<TokenId> {
+        self.vocabulary.get(token).copied()
+    }
+
+    /// The node reached from `node` by appending `token`.
+    #[inline]
+    pub(crate) fn child(&self, node: NodeId, token: TokenId) -> Option<NodeId> {
+        self.edges.get(&(node, token)).copied()
+    }
+
+    /// The entity whose title or alias is exactly the phrase at `node`.
+    #[inline]
+    pub(crate) fn terminal(&self, node: NodeId) -> Option<EntityId> {
+        self.terminals[node as usize]
     }
 }
 
@@ -151,12 +192,38 @@ impl GazetteerBuilder {
         id
     }
 
-    /// Finalises the dictionary.
+    /// Finalises the dictionary: compiles the phrases into the token
+    /// vocabulary and the phrase trie.
     pub fn build(self) -> Gazetteer {
+        let dense = |len: usize| u32::try_from(len).expect("dictionary exceeds u32 ids");
+        let mut vocabulary: FxHashMap<Box<str>, TokenId> = FxHashMap::default();
+        let mut edges: FxHashMap<(NodeId, TokenId), NodeId> = FxHashMap::default();
+        let mut terminals = vec![None]; // the root
+        for (phrase, &entity) in &self.phrases {
+            let mut node = Gazetteer::ROOT;
+            for token in phrase.split(' ') {
+                let token_id = match vocabulary.get(token) {
+                    Some(&id) => id,
+                    None => {
+                        let id = dense(vocabulary.len());
+                        vocabulary.insert(token.into(), id);
+                        id
+                    }
+                };
+                node = *edges.entry((node, token_id)).or_insert_with(|| {
+                    terminals.push(None);
+                    dense(terminals.len() - 1)
+                });
+            }
+            terminals[node as usize] = Some(entity);
+        }
         Gazetteer {
-            phrases: self.phrases,
+            vocabulary,
+            edges,
+            terminals,
             canonical: self.canonical,
             max_phrase_len: self.max_phrase_len,
+            phrase_count: self.phrases.len(),
             redirect_count: self.redirect_count,
         }
     }

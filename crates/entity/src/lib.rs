@@ -8,14 +8,16 @@
 //! a second filter consisting of lookups in an ontology (e.g., YAGO), which
 //! allows us to focus on particular entity types."
 //!
-//! * [`mod@tokenize`] — text → normalised term sequence,
+//! * [`mod@tokenize`] — text → normalised term sequence (one normaliser
+//!   for text and dictionary keys),
 //! * [`gazetteer`] — the title dictionary with redirect canonicalisation
 //!   (the Wikipedia substitute; populated synthetically by
-//!   `enblogue-datagen`),
+//!   `enblogue-datagen`), compiled into a token vocabulary and a phrase
+//!   trie,
 //! * [`ontology`] — a typed DAG with transitive subtype filtering (the
 //!   YAGO substitute),
-//! * [`tagger`] — the sliding-window longest-match tagger combining all
-//!   three.
+//! * [`tagger`] — the longest-match tagger combining all three in one
+//!   pass over the text.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,9 +5,9 @@
 //! of a Wikipedia article", with redirect canonicalisation and an optional
 //! ontology type filter.
 
-use crate::gazetteer::{EntityId, Gazetteer};
+use crate::gazetteer::{EntityId, Gazetteer, TokenId};
 use crate::ontology::{Ontology, TypeId};
-use crate::tokenize::tokenize;
+use crate::tokenize::TokenScanner;
 use std::sync::Arc;
 
 /// One recognised entity occurrence.
@@ -25,11 +25,16 @@ pub struct Mention {
 
 /// Sliding-window, longest-match entity tagger.
 ///
-/// At each token position the tagger probes the dictionary with the
-/// longest window first (up to min(4, dictionary max)); on a hit it emits
-/// the mention and continues *after* it (mentions never overlap), matching
-/// the greedy behaviour of dictionary annotators. An optional ontology
-/// filter restricts output "to focus on particular entity types".
+/// At each token position the tagger takes the longest dictionary phrase
+/// (up to min(4, dictionary max) tokens) that starts there; on a hit it
+/// emits the mention and continues *after* it (mentions never overlap),
+/// matching the greedy behaviour of dictionary annotators. An optional
+/// ontology filter restricts output "to focus on particular entity types".
+///
+/// The text is read once: each token is normalised into one reusable
+/// buffer and probed in the gazetteer's vocabulary; a token no phrase
+/// contains ends the matter there, any other walks the phrase trie at most
+/// 4 deep. Allocations per call are the buffer and the mentions.
 #[derive(Debug, Clone)]
 pub struct EntityTagger {
     gazetteer: Arc<Gazetteer>,
@@ -79,47 +84,68 @@ impl EntityTagger {
 
     /// Tags raw text, returning non-overlapping mentions left to right.
     pub fn tag_text(&self, text: &str) -> Vec<Mention> {
-        let tokens = tokenize(text);
-        self.tag_tokens(&tokens.iter().map(|t| t.text.as_str()).collect::<Vec<_>>())
+        let mut scanner = TokenScanner::new(text);
+        self.match_tokens(|| {
+            scanner.next_span().map(|_| self.gazetteer.token_id(scanner.normalized()))
+        })
     }
 
     /// Tags an already-tokenised term sequence (terms must be normalised
     /// lowercase, as produced by [`crate::tokenize::tokenize`]).
     pub fn tag_tokens(&self, tokens: &[&str]) -> Vec<Mention> {
+        let mut tokens = tokens.iter();
+        self.match_tokens(|| tokens.next().map(|token| self.gazetteer.token_id(token)))
+    }
+
+    /// Greedy longest-match over a token stream: `next` yields each token's
+    /// vocabulary id (`Some(None)` for a token no phrase contains) until
+    /// the text ends.
+    fn match_tokens(&self, mut next: impl FnMut() -> Option<Option<TokenId>>) -> Vec<Mention> {
+        let gazetteer = &*self.gazetteer;
         let mut mentions = Vec::new();
-        let max_window = Gazetteer::MAX_NGRAM.min(self.gazetteer.max_phrase_len());
-        if max_window == 0 {
-            return mentions;
-        }
-        let mut phrase = String::new();
-        let mut i = 0usize;
-        while i < tokens.len() {
-            let longest = max_window.min(tokens.len() - i);
-            let mut matched = 0usize;
-            for window in (1..=longest).rev() {
-                phrase.clear();
-                for (j, token) in tokens[i..i + window].iter().enumerate() {
-                    if j > 0 {
-                        phrase.push(' ');
-                    }
-                    phrase.push_str(token);
+        // Tokens read but not yet passed: `ahead[0]` is token number `at`.
+        let mut ahead = [None; Gazetteer::MAX_NGRAM];
+        let mut ahead_len = 0usize;
+        let mut at = 0usize;
+        loop {
+            // Walk the trie from `at`, keeping the deepest admitted entity.
+            let mut node = Gazetteer::ROOT;
+            let mut depth = 0usize;
+            let mut best = None;
+            while depth < Gazetteer::MAX_NGRAM {
+                if depth == ahead_len {
+                    let Some(token) = next() else { break };
+                    ahead[ahead_len] = token;
+                    ahead_len += 1;
                 }
-                if let Some(entity) = self.gazetteer.lookup_normalized(&phrase) {
-                    if self.admits(entity) {
-                        let name =
-                            self.gazetteer.canonical_name(entity).expect("id from this gazetteer");
-                        mentions.push(Mention { entity, name, token_start: i, token_len: window });
-                        matched = window;
-                        break;
-                    }
-                    // A filtered-out entity does not block shorter matches
-                    // at the same position (e.g. "new york city" typed as
-                    // location vs "new york" typed as newspaper).
+                let Some(child) = ahead[depth].and_then(|token| gazetteer.child(node, token))
+                else {
+                    break;
+                };
+                node = child;
+                depth += 1;
+                // A filtered-out entity does not block shorter matches at
+                // the same position (e.g. "new york city" typed as location
+                // vs "new york" typed as newspaper).
+                if let Some(entity) = gazetteer.terminal(node).filter(|&e| self.admits(e)) {
+                    best = Some((entity, depth));
                 }
             }
-            i += if matched > 0 { matched } else { 1 };
+            if ahead_len == 0 {
+                return mentions;
+            }
+            let passed = match best {
+                Some((entity, token_len)) => {
+                    let name = gazetteer.canonical_name(entity).expect("id from this gazetteer");
+                    mentions.push(Mention { entity, name, token_start: at, token_len });
+                    token_len
+                }
+                None => 1,
+            };
+            ahead.copy_within(passed..ahead_len, 0);
+            ahead_len -= passed;
+            at += passed;
         }
-        mentions
     }
 
     /// Distinct canonical entities mentioned in `text`, sorted by id.

@@ -10,6 +10,7 @@
 use crate::fxhash::FxHashMap;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -82,7 +83,9 @@ impl fmt::Display for TagKind {
 
 #[derive(Default)]
 struct InternerInner {
-    by_name: FxHashMap<(String, TagKind), TagId>,
+    /// One name → id map per kind (indexed by `TagKind as usize`), so a
+    /// lookup borrows the caller's `&str`; keys share the `names` entries.
+    by_name: [FxHashMap<Arc<str>, TagId>; TagKind::ALL.len()],
     names: Vec<Arc<str>>,
     kinds: Vec<TagKind>,
 }
@@ -111,31 +114,30 @@ impl TagInterner {
     /// Names are case-normalised to lowercase: Web 2.0 tags are
     /// case-insensitive in practice and the paper's entity tagger maps
     /// different namings of an entity to one unique name.
+    ///
+    /// A hit takes the read lock only and, for a name that is already
+    /// trimmed lowercase, allocates nothing.
     pub fn intern(&self, name: &str, kind: TagKind) -> TagId {
         let normalized = normalize(name);
-        // Fast path: read lock only.
-        {
-            let inner = self.inner.read();
-            if let Some(&id) = inner.by_name.get(&(normalized.clone(), kind)) {
-                return id;
-            }
+        if let Some(&id) = self.inner.read().by_name[kind as usize].get(&*normalized) {
+            return id;
         }
         let mut inner = self.inner.write();
         // Re-check: another thread may have interned between the locks.
-        if let Some(&id) = inner.by_name.get(&(normalized.clone(), kind)) {
+        if let Some(&id) = inner.by_name[kind as usize].get(&*normalized) {
             return id;
         }
         let id = TagId(u32::try_from(inner.names.len()).expect("more than u32::MAX tags interned"));
-        inner.names.push(Arc::from(normalized.as_str()));
+        let name: Arc<str> = Arc::from(&*normalized);
+        inner.names.push(Arc::clone(&name));
         inner.kinds.push(kind);
-        inner.by_name.insert((normalized, kind), id);
+        inner.by_name[kind as usize].insert(name, id);
         id
     }
 
     /// Looks up an already-interned tag without creating it.
     pub fn get(&self, name: &str, kind: TagKind) -> Option<TagId> {
-        let normalized = normalize(name);
-        self.inner.read().by_name.get(&(normalized, kind)).copied()
+        self.inner.read().by_name[kind as usize].get(&*normalize(name)).copied()
     }
 
     /// The name of `id`, if it was handed out by this interner.
@@ -185,8 +187,22 @@ impl fmt::Debug for TagInterner {
     }
 }
 
-fn normalize(name: &str) -> String {
-    name.trim().to_lowercase()
+/// Trimmed and lowercased; borrowed when `name` already is.
+fn normalize(name: &str) -> Cow<'_, str> {
+    let trimmed = name.trim();
+    // `str::to_lowercase` is the identity exactly when every char
+    // lowercases to itself. Interning is paid per entity mention, so
+    // ASCII names skip the per-char case-mapping iterator.
+    let is_lowercase = if trimmed.is_ascii() {
+        !trimmed.bytes().any(|b| b.is_ascii_uppercase())
+    } else {
+        trimmed.chars().all(|c| c.to_lowercase().eq([c]))
+    };
+    if is_lowercase {
+        Cow::Borrowed(trimmed)
+    } else {
+        Cow::Owned(trimmed.to_lowercase())
+    }
 }
 
 #[cfg(test)]
@@ -202,6 +218,20 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a, c);
         assert_eq!(interner.len(), 1);
+    }
+
+    #[test]
+    fn normalize_borrows_exactly_when_lowercasing_is_a_no_op() {
+        for name in ["volcano", "  air traffic ", "eyjafjallajökull", "2011", "", "οδος", "ß"]
+        {
+            assert!(matches!(normalize(name), Cow::Borrowed(_)), "{name:?}");
+            assert_eq!(normalize(name), name.trim().to_lowercase());
+        }
+        // Uppercase, non-ASCII uppercase, a titlecase digraph, final sigma.
+        for name in ["Volcano", " ÖL", "ǅ", "İstanbul", "ΟΔΟΣ"] {
+            assert!(matches!(normalize(name), Cow::Owned(_)), "{name:?}");
+            assert_eq!(normalize(name), name.trim().to_lowercase());
+        }
     }
 
     #[test]
