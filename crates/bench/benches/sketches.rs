@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks for the window-crate synopses (supporting
-//! experiment P5): exact counters vs Count-Min vs Space-Saving.
+//! experiment P5): exact windowed counters vs Space-Saving.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use enblogue::types::{TagId, Tick};
-use enblogue::window::{CountMinSketch, ExponentialHistogram, SpaceSaving, WindowedCounter};
+use enblogue::window::{SpaceSaving, WindowedCounter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -34,15 +34,6 @@ fn bench_ingest(c: &mut Criterion) {
             black_box(counter.distinct_keys())
         });
     });
-    group.bench_function("count_min_1024x4", |b| {
-        b.iter(|| {
-            let mut cms = CountMinSketch::new(1024, 4);
-            for &k in &keys {
-                cms.increment(&k);
-            }
-            black_box(cms.total())
-        });
-    });
     group.bench_function("space_saving_256", |b| {
         b.iter(|| {
             let mut ss: SpaceSaving<u32> = SpaceSaving::new(256);
@@ -50,15 +41,6 @@ fn bench_ingest(c: &mut Criterion) {
                 ss.increment(k);
             }
             black_box(ss.len())
-        });
-    });
-    group.bench_function("dgim_window_10k", |b| {
-        b.iter(|| {
-            let mut eh = ExponentialHistogram::new(10_000, 4);
-            for i in 0..keys.len() as u64 {
-                eh.record(i);
-            }
-            black_box(eh.bucket_count())
         });
     });
     group.finish();

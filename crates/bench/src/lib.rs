@@ -1,7 +1,9 @@
 //! Shared harness utilities for the EnBlogue experiment suite.
 //!
-//! Every experiment in `EXPERIMENTS.md` (F1, SC1–SC3, P1–P9) is a binary
-//! in `src/bin/` built from the helpers here: standard workloads, the
+//! Every experiment in the README's experiment list and in
+//! `docs/BENCHMARKS.md` (the paper's figure, show cases and ablations, and
+//! the per-layer `perf_*` drill-downs) is a binary in `src/bin/` built
+//! from the helpers here: standard workloads, the
 //! baseline-to-snapshot adapter, wall-clock measurement and fixed-width
 //! table rendering, so the printed rows can be pasted into the report
 //! verbatim.

@@ -82,7 +82,6 @@ pub mod pairs;
 pub mod personalization;
 pub mod pipeline;
 pub mod query;
-pub mod rankdiff;
 pub mod seeds;
 pub mod slab;
 pub mod snapshot;
@@ -99,6 +98,5 @@ pub use notify::{PushBroker, PushSubscription, RankingUpdate};
 pub use pairs::{RebalanceConfig, RegistryStats, ScoringMode, ShardedPairRegistry};
 pub use personalization::{PersonalizedRanking, UserProfile};
 pub use query::{EngineQuery, PublishDetail, QueryView, ViewData};
-pub use rankdiff::{diff as ranking_diff, kendall_tau, RankChange, RankingHistory};
 pub use snapshot::{latest_checkpoint, list_checkpoints, SnapshotStats, SNAPSHOT_VERSION};
 pub use stages::{EngineMetrics, StagePipeline, TickStage};

@@ -25,7 +25,7 @@
 //! The [`prelude`] pulls in the names needed by typical applications; see
 //! the `examples/` directory for runnable end-to-end scenarios
 //! (`quickstart`, `historic_events`, `live_stream`, `personalization`,
-//! `entity_tagging`, `engine_tuning`).
+//! `entity_tagging`, `engine_tuning`, `parallel_ingest`).
 //!
 //! # Architecture: one stage pipeline, many surfaces
 //!
@@ -136,9 +136,6 @@ pub mod prelude {
     };
     pub use enblogue_core::pipeline::PipelineBuilder;
     pub use enblogue_core::query::{EngineQuery, PublishDetail, QueryView, ViewData};
-    pub use enblogue_core::rankdiff::{
-        diff as ranking_diff, kendall_tau, RankChange, RankingHistory,
-    };
     pub use enblogue_core::snapshot::{latest_checkpoint, list_checkpoints, SnapshotStats};
     pub use enblogue_core::stages::{StagePipeline, TickStage};
     pub use enblogue_entity::gazetteer::{Gazetteer, GazetteerBuilder};

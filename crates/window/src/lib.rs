@@ -17,20 +17,16 @@
 //! * [`DecayValue`] — exponentially decaying score with configurable
 //!   half-life (the "exponential decline factor with a half life of
 //!   approximately 2 days", §3(iii)),
-//! * [`CountMinSketch`] — approximate frequencies in sub-linear space,
 //! * [`SpaceSaving`] — approximate heavy hitters (sketch-based seed
 //!   selection alternative; ablation P5),
-//! * [`ExponentialHistogram`] — DGIM-style approximate windowed counting,
 //! * [`HyperLogLog`] — approximate distinct counting in kilobytes,
 //! * [`TopK`] — bounded score-ordered ranking maintenance.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cms;
 pub mod counter;
 pub mod decay;
-pub mod exphist;
 pub mod hll;
 pub mod ring;
 pub mod sharded;
@@ -39,10 +35,8 @@ pub mod stats;
 pub mod tick_series;
 pub mod topk;
 
-pub use cms::CountMinSketch;
 pub use counter::{KeyWindow, WindowedCounter};
 pub use decay::{DecayMemo, DecayValue};
-pub use exphist::ExponentialHistogram;
 pub use hll::HyperLogLog;
 pub use ring::RingBuffer;
 pub use sharded::ShardedWindowedCounter;

@@ -1,10 +1,7 @@
 //! Property-based tests for sliding-window primitives and sketches.
 
 use enblogue_types::Tick;
-use enblogue_window::{
-    CountMinSketch, ExponentialHistogram, RingBuffer, SlidingStats, SpaceSaving, TickSeries, TopK,
-    WindowedCounter,
-};
+use enblogue_window::{RingBuffer, SlidingStats, SpaceSaving, TickSeries, TopK, WindowedCounter};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -88,21 +85,6 @@ proptest! {
         }
     }
 
-    /// Count-Min never underestimates.
-    #[test]
-    fn cms_upper_bounds_truth(keys in proptest::collection::vec(0u32..64, 1..500)) {
-        let mut cms = CountMinSketch::new(128, 4);
-        let mut truth = std::collections::HashMap::new();
-        for &k in &keys {
-            cms.increment(&k);
-            *truth.entry(k).or_insert(0u64) += 1;
-        }
-        for (k, &count) in &truth {
-            prop_assert!(cms.estimate(k) >= count);
-        }
-        prop_assert_eq!(cms.total(), keys.len() as u64);
-    }
-
     /// Space-Saving: monitored estimates upper-bound truth, and
     /// `estimate − error` lower-bounds it.
     #[test]
@@ -127,31 +109,6 @@ proptest! {
                 prop_assert!(ss.estimate(k).is_some(), "heavy hitter {} (count {}) evicted", k, count);
             }
         }
-    }
-
-    /// DGIM estimate is within the guaranteed relative error of the true
-    /// windowed count.
-    #[test]
-    fn dgim_relative_error_bounded(
-        window in 8u64..256,
-        gaps in proptest::collection::vec(0u64..4, 1..400),
-    ) {
-        let mut eh = ExponentialHistogram::new(window, 2);
-        let mut arrivals: Vec<u64> = Vec::new();
-        let mut ts = 0u64;
-        for gap in gaps {
-            ts += gap;
-            eh.record(ts);
-            arrivals.push(ts);
-        }
-        let est = eh.estimate(ts);
-        let cutoff = ts.saturating_sub(window);
-        let truth = arrivals.iter().filter(|&&a| a >= cutoff).count() as u64;
-        // DGIM with k=2: relative error ≤ 1/2 (plus 1 absolute slack for
-        // the half-bucket rounding on tiny counts).
-        let bound = truth / 2 + 1;
-        prop_assert!(est <= truth + bound, "over: est {} truth {}", est, truth);
-        prop_assert!(est + bound >= truth, "under: est {} truth {}", est, truth);
     }
 
     /// TopK returns exactly the k best entries, best-first, matching a full
