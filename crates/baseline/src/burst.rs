@@ -1,7 +1,7 @@
 //! Per-tag burst detection over tick-aligned arrival counts.
 
 use crate::grouping::group_bursty_tags;
-use enblogue_types::{Document, FxHashMap, TagId, TagPair, Tick};
+use enblogue_types::{Document, FxHashMap, RankingSnapshot, TagId, TagPair, Tick, TickSpec};
 use enblogue_window::{SlidingStats, WindowedCounter};
 
 /// Baseline configuration.
@@ -29,6 +29,55 @@ impl Default for BaselineConfig {
             group_jaccard: 0.1,
         }
     }
+}
+
+impl BaselineConfig {
+    /// The tuning used against EnBlogue on daily-tick archives: two weeks
+    /// of history, a 5-day grouping window and a 2σ gate.
+    pub fn daily() -> Self {
+        BaselineConfig {
+            history_ticks: 14,
+            window_ticks: 5,
+            gamma: 2.0,
+            min_support: 5,
+            group_jaccard: 0.05,
+        }
+    }
+}
+
+/// Replays timestamp-sorted `docs` through a fresh [`BurstBaseline`] and
+/// turns each tick's trends into a [`RankingSnapshot`] (covered pairs
+/// scored by trend strength, top `k`), so the baseline is scored with the
+/// same metric as EnBlogue. One snapshot per tick from tick 0 through the
+/// last document's tick.
+pub fn replay_snapshots(
+    docs: &[Document],
+    tick_spec: TickSpec,
+    config: BaselineConfig,
+    k: usize,
+) -> Vec<RankingSnapshot> {
+    let mut baseline = BurstBaseline::new(config);
+    let mut snapshots = Vec::new();
+    let mut close = |baseline: &mut BurstBaseline, tick: Tick| {
+        let mut ranked: Vec<(TagPair, f64)> = Vec::new();
+        for trend in baseline.close_tick(tick) {
+            ranked.extend(trend.covered_pairs().into_iter().map(|pair| (pair, trend.score)));
+        }
+        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite scores"));
+        ranked.truncate(k);
+        snapshots.push(RankingSnapshot { tick, time: tick_spec.end_of(tick), ranked });
+    };
+    let mut open = Tick::ZERO;
+    for doc in docs {
+        let tick = tick_spec.tick_of(doc.timestamp);
+        while open < tick {
+            close(&mut baseline, open);
+            open = open.next();
+        }
+        baseline.observe_doc(doc);
+    }
+    close(&mut baseline, open);
+    snapshots
 }
 
 /// A bursting tag with its burst strength.
@@ -199,7 +248,7 @@ impl BurstBaseline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enblogue_types::{Document, Timestamp};
+    use enblogue_types::Timestamp;
 
     fn doc(id: u64, tags: &[u32]) -> Document {
         Document::builder(id, Timestamp::ZERO).tags(tags.iter().map(|&t| TagId(t))).build()
@@ -346,6 +395,29 @@ mod tests {
         assert_eq!(trends.len(), 2);
         assert_eq!(trends[0].tags, vec![TagId(1)], "stronger burst first");
         assert!(trends[0].score > trends[1].score);
+    }
+
+    #[test]
+    fn baseline_adapter_produces_tick_aligned_snapshots() {
+        // 60 days of two co-tagged documents each, except an empty day 30.
+        // The gap must still get its snapshot, and so must the last day.
+        let docs: Vec<Document> = (0..60u64)
+            .filter(|&day| day != 30)
+            .flat_map(|day| {
+                (0..2).map(move |i| {
+                    Document::builder(day * 10 + i, Timestamp::from_days(day).plus(i))
+                        .tags([TagId(1), TagId(2 + i as u32)])
+                        .build()
+                })
+            })
+            .collect();
+        let snaps = replay_snapshots(&docs, TickSpec::daily(), BaselineConfig::default(), 1);
+        assert_eq!(snaps.len(), 60, "one snapshot per tick, including the last");
+        for (i, s) in snaps.iter().enumerate() {
+            assert_eq!(s.tick, Tick(i as u64));
+            assert_eq!(s.time, TickSpec::daily().end_of(Tick(i as u64)));
+            assert!(s.ranked.len() <= 1);
+        }
     }
 
     #[test]

@@ -9,10 +9,15 @@
 //! with `d_t` relevant events out of `n_t` total, state `i ∈ {0, 1}` has
 //! cost `−ln Binomial(n_t, d_t; p_i)`.
 //!
-//! Used as a second, stronger per-tag baseline in experiment P7: unlike
-//! the mean+γσ gate it has a principled probabilistic footing — and it is
-//! *equally blind* to correlation shifts that leave individual rates flat,
-//! which is the point the comparison makes.
+//! Used as a second, stronger per-tag baseline (the `baseline=kleinberg`
+//! row of `QUALITY.json`, via [`replay_snapshots`]): unlike the mean+γσ
+//! gate it has a principled probabilistic footing — and it is *equally
+//! blind* to correlation shifts that leave individual rates flat, which is
+//! the point the comparison makes.
+
+use enblogue_types::{
+    Document, FxHashMap, FxHashSet, RankingSnapshot, TagId, TagPair, Tick, TickSpec,
+};
 
 /// Batched two-state Kleinberg model.
 #[derive(Debug, Clone)]
@@ -128,6 +133,66 @@ pub fn detect_bursts(relevant: &[u64], totals: &[u64], config: &KleinbergConfig)
 /// Whether batch `index` lies inside any of `bursts`.
 pub fn in_burst(bursts: &[Burst], index: usize) -> bool {
     bursts.iter().any(|b| b.start <= index && index < b.end)
+}
+
+/// Ranks tag pairs per tick of `tick_spec` from per-tag Kleinberg bursts,
+/// so the automaton is scored with the same metric as EnBlogue. A pair is
+/// reported at tick `t` when it co-occurs in a document of `t` and *both*
+/// members are inside a burst at `t`, scored by the sum of the two burst
+/// weights (top `k` kept). Tags with fewer than `min_count` documents in
+/// the whole stream are not modelled. One snapshot per tick from tick 0
+/// through the last document's tick.
+pub fn replay_snapshots(
+    docs: &[Document],
+    tick_spec: TickSpec,
+    config: &KleinbergConfig,
+    min_count: u64,
+    k: usize,
+) -> Vec<RankingSnapshot> {
+    let ticks =
+        docs.iter().map(|d| tick_spec.tick_of(d.timestamp).0 as usize + 1).max().unwrap_or(0);
+    // Per-tag per-tick counts, per-tick totals and co-occurring pairs.
+    let mut per_tag: FxHashMap<TagId, Vec<u64>> = FxHashMap::default();
+    let mut totals = vec![0u64; ticks];
+    let mut tick_pairs: Vec<Vec<TagPair>> = vec![Vec::new(); ticks];
+    for doc in docs {
+        let t = tick_spec.tick_of(doc.timestamp).0 as usize;
+        totals[t] += 1;
+        let tags: Vec<TagId> = doc.annotations().collect();
+        for &tag in &tags {
+            per_tag.entry(tag).or_insert_with(|| vec![0; ticks])[t] += 1;
+        }
+        for (i, &a) in tags.iter().enumerate() {
+            tick_pairs[t].extend(tags[i + 1..].iter().map(|&b| TagPair::new(a, b)));
+        }
+    }
+    let bursts: FxHashMap<TagId, Vec<Burst>> = per_tag
+        .iter()
+        .filter(|(_, series)| series.iter().sum::<u64>() >= min_count)
+        .map(|(&tag, series)| (tag, detect_bursts(series, &totals, config)))
+        .collect();
+    let weight_at = |tag: TagId, t: usize| -> Option<f64> {
+        bursts.get(&tag)?.iter().find(|b| b.start <= t && t < b.end).map(|b| b.weight)
+    };
+    let mut seen = FxHashSet::default();
+    (0..ticks)
+        .map(|t| {
+            seen.clear();
+            let mut ranked: Vec<(TagPair, f64)> = Vec::new();
+            for &pair in &tick_pairs[t] {
+                if !seen.insert(pair) {
+                    continue;
+                }
+                if let (Some(wa), Some(wb)) = (weight_at(pair.lo(), t), weight_at(pair.hi(), t)) {
+                    ranked.push((pair, wa + wb));
+                }
+            }
+            ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite weights"));
+            ranked.truncate(k);
+            let tick = Tick(t as u64);
+            RankingSnapshot { tick, time: tick_spec.end_of(tick), ranked }
+        })
+        .collect()
 }
 
 #[cfg(test)]

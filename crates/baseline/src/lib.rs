@@ -8,7 +8,8 @@
 //! arise."
 //!
 //! This crate implements that published recipe faithfully enough to serve
-//! as the comparator in experiments F1 and P7:
+//! as the comparator in `tests/figure1.rs` and in the `baseline=burst` /
+//! `baseline=kleinberg` rows of `QUALITY.json`:
 //!
 //! 1. **Burst detection** ([`burst`]) — a tag bursts when its per-tick
 //!    arrival count exceeds `mean + γ·stddev` of its own history,
@@ -17,6 +18,10 @@
 //! 3. **Kleinberg automaton** ([`kleinberg`]) — the principled two-state
 //!    burst model (KDD 2002) underlying the trend-detection literature,
 //!    as a second, stronger per-tag detector.
+//!
+//! [`burst::replay_snapshots`] and [`kleinberg::replay_snapshots`] turn
+//! either detector's output into tick-aligned ranking snapshots, so both
+//! are scored with the same metric as EnBlogue.
 //!
 //! The crucial behavioural difference the experiments expose: a pair whose
 //! *intersection* grows while neither member bursts individually (Figure 1)

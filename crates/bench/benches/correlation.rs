@@ -1,5 +1,6 @@
-//! Criterion micro-benchmarks for correlation measures and divergences
-//! (supporting experiment P9): per-pair evaluation cost.
+//! Criterion micro-benchmarks for correlation measures and divergences:
+//! per-pair evaluation cost (their detection quality is the `measure=`
+//! axis of `QUALITY.json`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use enblogue::prelude::*;

@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the EnBlogue engine hot paths
-//! (supporting experiment P1).
+//! (drill-downs of `perf_e2e`'s end-to-end `docs_per_s`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use enblogue::datagen::twitter::{TweetConfig, TweetStream};

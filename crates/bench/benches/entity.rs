@@ -1,6 +1,6 @@
-//! Criterion micro-benchmarks for entity tagging (supporting experiment
-//! P3): tagging cost vs dictionary size (1k → 100k entities) and text
-//! length. Drill-downs of `entity.tag.busy_s` in `perf_e2e`.
+//! Criterion micro-benchmarks for entity tagging: tagging cost vs
+//! dictionary size (the `entity_tag_dict_size` group, 1k → 100k entities)
+//! and text length. Drill-downs of `entity.tag.busy_s` in `perf_e2e`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use enblogue::datagen::entities::EntityUniverse;
@@ -51,7 +51,7 @@ fn planted_corpus(
         .collect()
 }
 
-/// Experiment P3: tagging cost is flat in dictionary size. A text token
+/// Tagging cost is flat in dictionary size. A text token
 /// costs one vocabulary probe whatever the dictionary holds; growing it
 /// 100x only makes that probe's table colder in cache.
 fn bench_tagging_vs_dict_size(c: &mut Criterion) {

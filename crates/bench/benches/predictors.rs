@@ -1,5 +1,6 @@
-//! Criterion micro-benchmarks for the shift predictors (supporting
-//! experiment P4): per-prediction cost over realistic history lengths.
+//! Criterion micro-benchmarks for the shift predictors: per-prediction
+//! cost over realistic history lengths (their detection quality is the
+//! `predictor=` axis of `QUALITY.json`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use enblogue::prelude::*;

@@ -1,5 +1,6 @@
-//! Criterion micro-benchmarks for the window-crate synopses (supporting
-//! experiment P5): exact windowed counters vs Space-Saving.
+//! Criterion micro-benchmarks for the window-crate synopses: exact
+//! windowed counters vs Space-Saving (seed quality of the sketch is the
+//! `seeds=sketch(…)` rows of `QUALITY.json`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use enblogue::types::{TagId, Tick};

@@ -1,5 +1,6 @@
-//! Criterion micro-benchmarks for the stream substrate (supporting
-//! experiment P2): executor overhead per event and sharing effects.
+//! Criterion micro-benchmarks for the stream substrate: executor overhead
+//! per event and sharing effects (the `perf_sharing` bin measures sharing
+//! on a whole replay).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use enblogue::prelude::*;

@@ -1,4 +1,4 @@
-//! Experiment P2 — multi-plan sharing ablation (§4.1).
+//! Multi-plan sharing ablation (§4.1).
 //!
 //! N parallel query plans (same prefix: source + entity tagging, different
 //! engine settings) with and without structural sharing. Reports total
@@ -50,7 +50,7 @@ fn write_json(rows: &[Row], path: &str) {
 fn main() {
     let archive = small_archive(0x9A);
     let tagger = Arc::new(EntityTagger::new(Arc::clone(&archive.universe.gazetteer)));
-    println!("P2 — plan sharing: {} docs, prefix = source + entity tagging\n", archive.len());
+    println!("Plan sharing: {} docs, prefix = source + entity tagging\n", archive.len());
 
     let build_config = |k: usize| {
         EnBlogueConfig::builder()

@@ -3,8 +3,8 @@
 //! Replays the synthetic NYT-style archive and reports, per scripted
 //! historic event, whether/when/where it ranked, plus aggregate quality —
 //! the quantitative version of letting demo visitors "judge whether the
-//! rankings would be satisfactory". Also reports how the ranking changes
-//! with different user-chosen time ranges (window lengths).
+//! rankings would be satisfactory". How the ranking changes with the
+//! user-chosen time range is the `window=` axis of `QUALITY.json`.
 //!
 //! Run: `cargo run --release -p enblogue-bench --bin showcase1`
 
@@ -59,31 +59,4 @@ fn main() {
         metrics.pairs_discovered,
         metrics.pairs_tracked
     );
-
-    // "Users can specify their own time ranges and see how the ranking
-    // changes with different time periods": sweep the window length.
-    println!("\nranking sensitivity to the user-chosen time range (window length):");
-    let table = Table::new(&[16, 10, 14, 14]);
-    table.header(&["window", "recall", "precision@10", "latency (d)"]);
-    for window_days in [3usize, 7, 14, 21] {
-        let config = EnBlogueConfig::builder()
-            .tick_spec(TickSpec::daily())
-            .window_ticks(window_days)
-            .seed_count(30)
-            .min_seed_count(3)
-            .top_k(10)
-            .build()
-            .unwrap();
-        let mut engine = EnBlogueEngine::new(config);
-        let snaps = engine.run_replay(&archive.docs);
-        let r = evaluate(&snaps, &archive.script, 10, 2 * Timestamp::DAY);
-        table.row(&[
-            &format!("{window_days} days"),
-            &f2(r.recall),
-            &f2(r.precision_at_k),
-            &f2(r.mean_latency_ms / Timestamp::DAY as f64),
-        ]);
-    }
-    println!("\nShort windows react faster but see noisier correlations; long windows smooth");
-    println!("the series and delay detection — the trade-off the demo exposes interactively.");
 }

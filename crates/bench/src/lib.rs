@@ -1,14 +1,14 @@
-//! Shared harness utilities for the EnBlogue experiment suite.
+//! Shared harness for the EnBlogue experiment binaries in `src/bin/`.
 //!
-//! Every experiment in the README's experiment list and in
-//! `docs/BENCHMARKS.md` (the paper's figure, show cases and ablations, and
-//! the per-layer `perf_*` drill-downs) is a binary in `src/bin/` built
-//! from the helpers here: standard workloads, the
-//! baseline-to-snapshot adapter, wall-clock measurement and fixed-width
-//! table rendering, so the printed rows can be pasted into the report
-//! verbatim.
+//! [`quality`] is the detection-quality matrix behind the committed
+//! `QUALITY.json` (the `quality` bin and `tests/quality.rs` gate it). The
+//! remaining bins — the show cases and the per-layer `perf_*` drill-downs
+//! listed in `docs/BENCHMARKS.md` — share the standard workloads,
+//! wall-clock measurement and fixed-width table rendering below, so the
+//! printed rows can be pasted into a report verbatim.
 
-use enblogue::baseline::burst::{BaselineConfig, BurstBaseline};
+pub mod quality;
+
 use enblogue::datagen::nyt::{NytArchive, NytConfig};
 use enblogue::datagen::twitter::{TweetConfig, TweetStream};
 use enblogue::prelude::*;
@@ -68,41 +68,6 @@ pub fn daily_config() -> EnBlogueConfig {
         .expect("valid daily config")
 }
 
-/// Runs the TwitterMonitor-style baseline over `docs` and converts its
-/// trends into ranking snapshots comparable with EnBlogue's.
-pub fn baseline_snapshots(
-    docs: &[Document],
-    tick_spec: TickSpec,
-    config: BaselineConfig,
-    k: usize,
-) -> Vec<RankingSnapshot> {
-    let mut baseline = BurstBaseline::new(config);
-    let mut snapshots = Vec::new();
-    let mut open = Tick(0);
-    let close = |baseline: &mut BurstBaseline, tick: Tick, snapshots: &mut Vec<RankingSnapshot>| {
-        let trends = baseline.close_tick(tick);
-        let mut ranked: Vec<(TagPair, f64)> = Vec::new();
-        for trend in trends {
-            for pair in trend.covered_pairs() {
-                ranked.push((pair, trend.score));
-            }
-        }
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite scores"));
-        ranked.truncate(k);
-        snapshots.push(RankingSnapshot { tick, time: tick_spec.end_of(tick), ranked });
-    };
-    for doc in docs {
-        let tick = tick_spec.tick_of(doc.timestamp);
-        while open < tick {
-            close(&mut baseline, open, &mut snapshots);
-            open = open.next();
-        }
-        baseline.observe_doc(doc);
-    }
-    close(&mut baseline, open, &mut snapshots);
-    snapshots
-}
-
 /// Times `f`, returning `(result, seconds)`.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
@@ -141,11 +106,6 @@ impl Table {
     }
 }
 
-/// Formats a float with 3 decimals.
-pub fn f3(v: f64) -> String {
-    format!("{v:.3}")
-}
-
 /// Formats a float with 2 decimals.
 pub fn f2(v: f64) -> String {
     format!("{v:.2}")
@@ -168,20 +128,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn baseline_adapter_produces_tick_aligned_snapshots() {
-        let archive = small_archive(1);
-        let snaps =
-            baseline_snapshots(&archive.docs, TickSpec::daily(), BaselineConfig::default(), 10);
-        assert_eq!(snaps.len(), 60);
-        for (i, s) in snaps.iter().enumerate() {
-            assert_eq!(s.tick, Tick(i as u64));
-            assert!(s.ranked.len() <= 10);
-        }
-    }
-
-    #[test]
     fn formatting_helpers() {
-        assert_eq!(f3(0.12345), "0.123");
         assert_eq!(f2(0.12345), "0.12");
         assert_eq!(rate(1000, 1.0), "1.0k/s");
         assert_eq!(rate(2_000_000, 1.0), "2.00M/s");

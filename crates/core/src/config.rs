@@ -25,7 +25,8 @@ pub enum SeedStrategy {
         popularity_weight: f64,
     },
     /// Approximate popularity from a Space-Saving sketch with the given
-    /// number of counters (ablation P5: sketch vs exact seed selection).
+    /// number of counters (sketch vs exact seed selection: the
+    /// `seeds=sketch(…)` rows of `QUALITY.json`).
     SketchPopularity {
         /// Number of Space-Saving counters.
         capacity: usize,

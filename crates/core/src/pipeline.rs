@@ -8,8 +8,8 @@
 //!
 //! A [`PipelineBuilder`] assembles: one replay source → (optional, shared)
 //! entity tagging → one [`EngineOp`] sink per engine configuration.
-//! Experiment P2 builds the same pipeline with sharing disabled to measure
-//! the saved work.
+//! The `perf_sharing` bin builds the same pipeline with sharing disabled to
+//! measure the saved work.
 
 use crate::config::EnBlogueConfig;
 use crate::notify::PushBroker;
@@ -71,7 +71,7 @@ impl PipelineBuilder {
         self
     }
 
-    /// Disables structural plan sharing (the P2 ablation baseline: every
+    /// Disables structural plan sharing (the `perf_sharing` baseline: every
     /// plan gets a private copy of each stage).
     #[must_use]
     pub fn without_sharing(mut self) -> Self {

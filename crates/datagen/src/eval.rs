@@ -56,8 +56,9 @@ impl EvalReport {
 /// Precision@k counts a top-k entry as correct if it is a truth pair whose
 /// event window (+ grace) contains the snapshot time. Snapshots outside
 /// all event windows do not contribute to precision (background-only
-/// rankings have no truth to match; false-alarm behaviour is what P7's
-/// baseline comparison quantifies via recall on no-event streams).
+/// rankings have no truth to match; false alarms on a no-event stream are
+/// what `tests/baseline_comparison.rs` bounds). `QUALITY.json` records
+/// this report for every row of the design-space matrix.
 pub fn evaluate(
     snapshots: &[RankingSnapshot],
     script: &EventScript,

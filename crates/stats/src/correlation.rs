@@ -39,7 +39,8 @@ impl PairCounts {
 /// §3(ii): "There are multiple ways how to calculate a correlation measure
 /// that reflects some notion of interestingness." These are the standard
 /// set-association measures; the term-distribution variant lives in
-/// [`crate::divergence`]. Ablation experiment P9 compares them.
+/// [`crate::divergence`]. The `measure=` rows of `QUALITY.json` compare
+/// their detection quality; the `correlation` criterion bench their cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum CorrelationMeasure {
     /// `|A∩B| / |A∪B|` — the default; symmetric, popularity-robust.

@@ -613,7 +613,8 @@ impl Default for PredictorKind {
 }
 
 impl PredictorKind {
-    /// The standard ablation set for experiment P4.
+    /// One predictor of each family, as compared by the `predictor=` rows
+    /// of `QUALITY.json` and the `predictors` criterion bench.
     pub fn ablation_set() -> Vec<PredictorKind> {
         vec![
             PredictorKind::Last,

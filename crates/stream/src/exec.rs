@@ -22,9 +22,9 @@ pub struct NodeStats {
 
 /// Counters for one graph execution.
 ///
-/// `total_processed` is the work measure used by the plan-sharing ablation
-/// (P2): with sharing, overlapping plan prefixes process each event once
-/// instead of once per plan.
+/// `total_processed` is the work measure of the `perf_sharing` bin: with
+/// sharing, overlapping plan prefixes process each event once instead of
+/// once per plan.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExecutionStats {
     /// Events produced by the source.
@@ -211,7 +211,8 @@ impl EventSink for ChannelSink {
 }
 
 /// Runs the graph with one worker thread per operator, connected by
-/// bounded crossbeam channels (the throughput mode; benches P1/P2).
+/// bounded crossbeam channels (the throughput mode; the `stream_ops`
+/// criterion bench and `perf_sharing` time it).
 ///
 /// Event order is preserved along every edge; nodes with multiple parents
 /// see an interleaving, with duplicate punctuation removed. The graph is

@@ -23,8 +23,8 @@ pub(crate) struct Node {
 /// Plans are attached with [`Graph::attach`] / [`Graph::attach_chain`]:
 /// when the new operator's [signature](Operator::signature) matches an
 /// existing child of the same parent, the existing node is reused and
-/// [`Graph::shared_hits`] is incremented — experiment P2 measures the
-/// saved work.
+/// [`Graph::shared_hits`] is incremented — the `perf_sharing` bin measures
+/// the saved work.
 pub struct Graph {
     source: Box<dyn Source>,
     /// Children of the source.
@@ -88,7 +88,7 @@ impl Graph {
     }
 
     /// Attaches `op` below `parent` *without* sharing, even if an equal
-    /// sibling exists (the unshared baseline of experiment P2).
+    /// sibling exists (the unshared baseline of `perf_sharing`).
     pub fn attach_unshared(
         &mut self,
         parent: Option<NodeId>,

@@ -18,7 +18,7 @@
 //!   half-life (the "exponential decline factor with a half life of
 //!   approximately 2 days", §3(iii)),
 //! * [`SpaceSaving`] — approximate heavy hitters (sketch-based seed
-//!   selection alternative; ablation P5),
+//!   selection alternative; the `seeds=sketch(…)` rows of `QUALITY.json`),
 //! * [`HyperLogLog`] — approximate distinct counting in kilobytes,
 //! * [`TopK`] — bounded score-ordered ranking maintenance.
 

@@ -7,7 +7,8 @@ use std::hash::Hash;
 /// counters.
 ///
 /// EnBlogue can select seed tags from a sketch instead of exact windowed
-/// counters when the tag universe is huge (ablation P5). Guarantees: every
+/// counters when the tag universe is huge (`SeedStrategy::SketchPopularity`,
+/// scored by the `seeds=sketch(…)` rows of `QUALITY.json`). Guarantees: every
 /// item with true count `> N/m` is in the summary, and each reported count
 /// overestimates the true count by at most its stored `error`.
 #[derive(Debug, Clone)]

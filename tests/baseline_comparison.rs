@@ -1,62 +1,27 @@
 //! EnBlogue vs the TwitterMonitor-style burst baseline on the same
-//! event-annotated workload (experiment P7's correctness backbone).
+//! event-annotated workload (the claim the `baseline=burst` row of
+//! `QUALITY.json` tracks, here on an archive of its own).
 
-use enblogue::baseline::burst::{BaselineConfig, BurstBaseline};
+use enblogue::baseline::burst::{replay_snapshots, BaselineConfig};
 use enblogue::prelude::*;
 use enblogue_datagen::eval::evaluate;
 use enblogue_datagen::nyt::{NytArchive, NytConfig};
 
-fn archive() -> NytArchive {
+fn archive(days: u64, historic_events: usize) -> NytArchive {
     NytArchive::generate(&NytConfig {
         seed: 909,
-        days: 60,
+        days,
         docs_per_day: 120,
         n_categories: 20,
         n_descriptors: 150,
         n_entities: 60,
         n_terms: 300,
-        historic_events: 5,
+        historic_events,
     })
 }
 
-/// Runs the baseline over the archive and converts its trends into
-/// ranking snapshots (covered pairs, scored by trend strength) so both
-/// systems are evaluated with the same metric.
-fn baseline_snapshots(archive: &NytArchive) -> Vec<RankingSnapshot> {
-    let mut baseline = BurstBaseline::new(BaselineConfig {
-        history_ticks: 14,
-        window_ticks: 5,
-        gamma: 2.0,
-        min_support: 5,
-        group_jaccard: 0.05,
-    });
-    let spec = TickSpec::daily();
-    let mut snapshots = Vec::new();
-    let mut open = Tick(0);
-    for doc in &archive.docs {
-        let tick = spec.tick_of(doc.timestamp);
-        while open < tick {
-            let trends = baseline.close_tick(open);
-            let mut ranked: Vec<(TagPair, f64)> = Vec::new();
-            for trend in trends {
-                for pair in trend.covered_pairs() {
-                    ranked.push((pair, trend.score));
-                }
-            }
-            ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-            ranked.truncate(10);
-            snapshots.push(RankingSnapshot { tick: open, time: spec.end_of(open), ranked });
-            open = open.next();
-        }
-        baseline.observe_doc(doc);
-    }
-    snapshots
-}
-
-#[test]
-fn enblogue_beats_burst_baseline_on_pair_events() {
-    let archive = archive();
-
+/// EnBlogue under the daily-tick configuration of the quality matrix.
+fn enblogue(docs: &[Document]) -> Vec<RankingSnapshot> {
     let config = EnBlogueConfig::builder()
         .tick_spec(TickSpec::daily())
         .window_ticks(7)
@@ -66,11 +31,18 @@ fn enblogue_beats_burst_baseline_on_pair_events() {
         .min_pair_support(3)
         .build()
         .unwrap();
-    let mut engine = EnBlogueEngine::new(config);
-    let enblogue_snaps = engine.run_replay(&archive.docs);
-    let enblogue_report = evaluate(&enblogue_snaps, &archive.script, 10, 2 * Timestamp::DAY);
+    EnBlogueEngine::new(config).run_replay(docs)
+}
 
-    let baseline_snaps = baseline_snapshots(&archive);
+#[test]
+fn enblogue_beats_burst_baseline_on_pair_events() {
+    let archive = archive(60, 5);
+    let enblogue_report =
+        evaluate(&enblogue(&archive.docs), &archive.script, 10, 2 * Timestamp::DAY);
+
+    let baseline_snaps =
+        replay_snapshots(&archive.docs, TickSpec::daily(), BaselineConfig::daily(), 10);
+    assert_eq!(baseline_snaps.len(), 60, "one snapshot per day, the last one included");
     let baseline_report = evaluate(&baseline_snaps, &archive.script, 10, 2 * Timestamp::DAY);
 
     // The paper's claim, quantified: correlation-shift detection finds the
@@ -99,27 +71,7 @@ fn enblogue_beats_burst_baseline_on_pair_events() {
 fn both_systems_run_clean_on_background_only_streams() {
     // No events planted: EnBlogue should stay (almost) silent; this guards
     // against an engine that "wins" by alarming constantly.
-    let quiet = NytArchive::generate(&NytConfig {
-        seed: 909,
-        days: 40,
-        docs_per_day: 120,
-        n_categories: 20,
-        n_descriptors: 150,
-        n_entities: 60,
-        n_terms: 300,
-        historic_events: 0,
-    });
-    let config = EnBlogueConfig::builder()
-        .tick_spec(TickSpec::daily())
-        .window_ticks(7)
-        .seed_count(30)
-        .min_seed_count(3)
-        .top_k(10)
-        .min_pair_support(3)
-        .build()
-        .unwrap();
-    let mut engine = EnBlogueEngine::new(config);
-    let snapshots = engine.run_replay(&quiet.docs);
+    let snapshots = enblogue(&archive(40, 0).docs);
 
     // Scores that do appear must be background noise: small relative to
     // the scores event streams produce (≈ 0.2+).
