@@ -8,7 +8,7 @@
 //!
 //! * `slab` — the production [`ShardedPairRegistry`]: SoA slab columns,
 //!   one strided history arena read in place by the scorer, lane-based
-//!   windowed counts, incrementally maintained sorted iteration;
+//!   windowed counts, live slots walked in slot order;
 //! * `legacy` — a faithful in-bin model of the pre-slab layout:
 //!   `FxHashMap<u64, PairState>` with one heap `RingBuffer` per pair
 //!   (copied into a scratch `Vec` before scoring, as the old close loop
@@ -19,9 +19,10 @@
 //! per-pair walk (`ScoringMode::Scalar`, the reference) against the
 //! lane-tiled batch kernels (`ScoringMode::Batched`, the production
 //! default). All layouts, shard counts and scoring modes run the same
-//! float operations in the same order, so their rankings are verified
-//! **bit-identical** before any number is reported; the rows differ only
-//! in where state lives and how the loops are tiled. The sweep covers
+//! float operations per pair, and pairs are scored independently, so
+//! their rankings are verified **bit-identical** before any number is
+//! reported; the rows differ only in where state lives, the order pairs
+//! are visited in, and how the loops are tiled. The sweep covers
 //! live-pair count (1k / 33k / 133k) × shard count, multi-store rows
 //! request a parallel close (the registry demotes small populations below
 //! `SERIAL_CLOSE_MAX_PAIRS` to a serial walk), and `BENCH_close.json`

@@ -203,10 +203,10 @@ pub struct RegistryStats {
     pub discovered: u64,
     /// Pairs ever evicted.
     pub evicted: u64,
-    /// Capacity-growth events observed in close-path scratch buffers
-    /// (slab sorted views, the cap-eviction scratch). Zero once warm: the
-    /// steady-state tick close is allocation-free (pinned by
-    /// `tests/close_allocs.rs` with a counting allocator).
+    /// Capacity-growth events of the cap-eviction scratch, the one buffer
+    /// the close grows on demand. Zero once warm: the steady-state tick
+    /// close is allocation-free (pinned by `tests/close_allocs.rs` with a
+    /// counting allocator).
     pub close_allocs: u64,
 }
 
@@ -368,13 +368,7 @@ impl PairShard {
         self.update_slot(slot, correlation, support, tick, now, scorer)
     }
 
-    /// Sorted packed keys, freshly collected (snapshot/inspection paths —
-    /// the close loop walks the slab's incrementally maintained view).
-    fn sorted_keys(&self) -> Vec<u64> {
-        self.slab.sorted_keys()
-    }
-
-    /// The batched tick-close walk: groups sorted slots into
+    /// The batched tick-close walk: groups consecutive live slots into
     /// [`LANES`]-wide tiles of equal history length, gathers each tile's
     /// ring-resident histories into one rotation-normalised time-major
     /// buffer (one linear copy per lane), bulk-fetches the tile's
@@ -382,8 +376,8 @@ impl PairShard {
     /// kernels of `ShiftScorer::score_batch` — writing results straight
     /// back into the slab's dense score column.
     ///
-    /// Bit-identical to running [`PairShard::update_slot`] over the same
-    /// sorted walk: tiles group pairs but never mix their arithmetic
+    /// Bit-identical to running [`PairShard::update_slot`] over every live
+    /// slot: tiles group pairs but never mix their arithmetic
     /// (each lane runs the scalar operation order; the support gate, the
     /// noise floor and the decayed-max update are applied per lane
     /// exactly as the scalar path applies them per pair). Tiling is an
@@ -399,16 +393,21 @@ impl PairShard {
         C: Fn(TagPair, u64) -> f64 + Sync,
     {
         let PairShard { slab, tile, params, .. } = self;
-        let total = slab.sorted_slots().len();
-        let mut i = 0;
-        while i < total {
-            // Fill: consecutive sorted slots sharing one history length
-            // (the time-major kernels need one uniform loop bound, and in
-            // steady state every ring is full, so tiles run wide).
+        let bound = slab.slot_bound();
+        let mut slot = 0;
+        while slot < bound {
+            // Fill: consecutive live slots sharing one history length (the
+            // time-major kernels need one uniform loop bound, and in steady
+            // state every ring is full, so tiles run wide). The walk is in
+            // slot order, so every column and the history arena stream
+            // front to back.
             let mut width = 0;
             let mut len = 0usize;
-            while width < LANES && i < total {
-                let slot = slab.sorted_slots()[i] as usize;
+            while width < LANES && slot < bound {
+                if !slab.is_live(slot) {
+                    slot += 1;
+                    continue;
+                }
                 let hist_len = slab.history_count(slot);
                 if width == 0 {
                     len = hist_len;
@@ -425,7 +424,10 @@ impl PairShard {
                     tile.lanes[t * LANES + width] = v;
                 }
                 width += 1;
-                i += 1;
+                slot += 1;
+            }
+            if width == 0 {
+                break; // only dead slots were left
             }
             // One bulk probe for the tile's windowed actuals, then the
             // correlation values derived from them.
@@ -497,8 +499,7 @@ pub struct ShardedPairRegistry {
     /// Reusable `(score, key)` buffer of the cap-eviction pass (retained
     /// across closes so a cap-bound steady state allocates nothing).
     cap_scratch: Vec<(f64, u64)>,
-    /// Capacity-growth events in the registry's own close-path buffers
-    /// (shards count theirs in the slab).
+    /// Capacity-growth events of `cap_scratch`.
     close_allocs: u64,
     /// Operational event journal (evictions, rebalances). Disabled until
     /// [`ShardedPairRegistry::attach_telemetry`].
@@ -798,9 +799,10 @@ impl ShardedPairRegistry {
     /// `correlate` maps `(pair, windowed co-occurrence count)` to this
     /// tick's correlation value; it must be a pure function of its inputs
     /// and shared immutable state (it is called concurrently from shard
-    /// workers). Per-shard iteration is in sorted key order, and pairs are
-    /// independent, so the outcome is identical for any shard count and
-    /// either execution mode.
+    /// workers). Each shard walks its live slots in slot order; an update
+    /// reads only its own slot and the frozen window statistics, so the
+    /// visiting order cannot change a result, and the outcome is identical
+    /// for any shard count, slot layout and either execution mode.
     pub fn score_all<C>(
         &mut self,
         tick: Tick,
@@ -818,10 +820,6 @@ impl ShardedPairRegistry {
             // Each worker times its own walk into its shard's handle —
             // no cross-shard sharing, and a single branch when disabled.
             let started = shard.close_ns.enabled().then(std::time::Instant::now);
-            // Repair the sorted view only if discovery/eviction changed
-            // membership since the last close; the walk itself is linear
-            // over dense slab columns.
-            shard.slab.refresh_sorted();
             match shard.params.scoring {
                 // The default: lane-tiled kernels over gathered tiles.
                 ScoringMode::Batched => {
@@ -830,8 +828,10 @@ impl ShardedPairRegistry {
                 // The reference: per-pair walk, the scorer reading each
                 // history ring in place.
                 ScoringMode::Scalar => {
-                    for i in 0..shard.slab.sorted_slots().len() {
-                        let slot = shard.slab.sorted_slots()[i] as usize;
+                    for slot in 0..shard.slab.slot_bound() {
+                        if !shard.slab.is_live(slot) {
+                            continue;
+                        }
                         let packed = shard.slab.key_at(slot);
                         let pair = TagPair::from_packed(packed);
                         let ab = counts.count(index, packed);
@@ -1181,8 +1181,7 @@ impl ShardedPairRegistry {
             migrated_pairs: self.migrated_pairs,
             discovered: self.discovered_total(),
             evicted: self.evicted_total(),
-            close_allocs: self.close_allocs
-                + self.shards.iter().map(|shard| shard.slab.close_allocs()).sum::<u64>(),
+            close_allocs: self.close_allocs,
         }
     }
 
@@ -1317,7 +1316,7 @@ impl ShardedPairRegistry {
                 w.u64(packed);
             }
             w.usize(shard.slab.len());
-            for packed in shard.sorted_keys() {
+            for packed in shard.slab.sorted_keys() {
                 let slot = shard.slab.slot_of(packed).expect("sorted keys are tracked");
                 w.u64(packed);
                 let (older, newer) = shard.slab.history_parts(slot);

@@ -93,17 +93,17 @@ pub trait QueryView {
     /// personalization component). `None` before the first close.
     fn personalized(&self, profile: &UserProfile) -> Option<PersonalizedRanking>;
 
-    /// The best `k` ranked topics.
+    /// The best `k` ranked topics. The default clones the whole ranking
+    /// first; implementors that hold one override it to slice in place.
     fn top_k(&self, k: usize) -> Vec<(TagPair, f64)> {
         self.ranking().map(|s| s.top(k).to_vec()).unwrap_or_default()
     }
 
     /// Per-tag drill-down: the ranked topics containing `tag`, best
     /// first (the demo's "click a tag" view over the displayed ranking).
+    /// Overridden like [`QueryView::top_k`].
     fn pairs_with_tag(&self, tag: TagId) -> Vec<(TagPair, f64)> {
-        self.ranking()
-            .map(|s| s.ranked.into_iter().filter(|(p, _)| p.lo() == tag || p.hi() == tag).collect())
-            .unwrap_or_default()
+        self.ranking().map(|s| s.pairs_with_tag(tag)).unwrap_or_default()
     }
 }
 
@@ -165,6 +165,14 @@ impl QueryView for EngineQuery<'_> {
 
     fn personalized(&self, profile: &UserProfile) -> Option<PersonalizedRanking> {
         self.pipeline.latest_snapshot().map(|s| personalize(s, profile, &self.interner))
+    }
+
+    fn top_k(&self, k: usize) -> Vec<(TagPair, f64)> {
+        self.pipeline.latest_snapshot().map(|s| s.top(k).to_vec()).unwrap_or_default()
+    }
+
+    fn pairs_with_tag(&self, tag: TagId) -> Vec<(TagPair, f64)> {
+        self.pipeline.latest_snapshot().map(|s| s.pairs_with_tag(tag)).unwrap_or_default()
     }
 }
 
@@ -349,6 +357,14 @@ impl QueryView for ViewData {
 
     fn personalized(&self, profile: &UserProfile) -> Option<PersonalizedRanking> {
         self.ranking.as_ref().map(|s| personalize_shared(s, profile, &self.names))
+    }
+
+    fn top_k(&self, k: usize) -> Vec<(TagPair, f64)> {
+        self.ranking.as_ref().map(|s| s.top(k).to_vec()).unwrap_or_default()
+    }
+
+    fn pairs_with_tag(&self, tag: TagId) -> Vec<(TagPair, f64)> {
+        self.ranking.as_ref().map(|s| s.pairs_with_tag(tag)).unwrap_or_default()
     }
 }
 

@@ -24,6 +24,10 @@ pub struct SeedTracker {
     sketch: Option<SpaceSaving<TagId>>,
     /// Tag counts in the open tick (feeds volatility on close).
     current: FxHashMap<TagId, u64>,
+    /// Dense copy of the windowed counts indexed by `TagId`, rebuilt at
+    /// every close (see [`SeedTracker::refresh_tag_counts`]). Derived
+    /// state: not part of the snapshot.
+    tag_counts: Vec<u64>,
     window_ticks: usize,
 }
 
@@ -47,6 +51,7 @@ impl SeedTracker {
             volatility: FxHashMap::default(),
             sketch,
             current: FxHashMap::default(),
+            tag_counts: Vec::new(),
             window_ticks,
         }
     }
@@ -65,6 +70,28 @@ impl SeedTracker {
         self.counts.count(tag)
     }
 
+    /// The windowed tag counts as of the last close, indexed by
+    /// [`TagId::index`]. A tag past the end of the slice counts 0, as does
+    /// every tag before the first close.
+    pub fn tag_counts(&self) -> &[u64] {
+        &self.tag_counts
+    }
+
+    /// Rebuilds [`SeedTracker::tag_counts`] from the windowed counts: the
+    /// column is zero-filled, then every live tag's total is written. It
+    /// grows only when a larger `TagId` appears, so a warm refresh does
+    /// not allocate.
+    pub fn refresh_tag_counts(&mut self) {
+        self.tag_counts.fill(0);
+        for (tag, count) in self.counts.iter() {
+            let index = tag.index();
+            if index >= self.tag_counts.len() {
+                self.tag_counts.resize(index + 1, 0);
+            }
+            self.tag_counts[index] = count;
+        }
+    }
+
     /// The sliding-window average (count / window ticks) of `tag`.
     pub fn window_average(&self, tag: TagId) -> f64 {
         self.counts.window_average(tag)
@@ -81,6 +108,7 @@ impl SeedTracker {
         // Ensure the window's newest slot is the closing tick even if no
         // document arrived in it (gap ticks must expire old counts).
         self.counts.advance_to(tick);
+        self.refresh_tag_counts();
         // Volatility histories get this tick's count (zero for absent tags
         // that already have history).
         if matches!(self.strategy, SeedStrategy::Volatility | SeedStrategy::Hybrid { .. }) {
@@ -256,6 +284,7 @@ impl SeedTracker {
             volatility,
             sketch,
             current,
+            tag_counts: Vec::new(),
             window_ticks,
         })
     }
@@ -451,6 +480,61 @@ mod tests {
             out
         };
         assert_eq!(run(), run());
+    }
+
+    /// Reads the dense column the way the scoring closure does.
+    fn column_count(t: &SeedTracker, tag: TagId) -> u64 {
+        t.tag_counts().get(tag.index()).copied().unwrap_or(0)
+    }
+
+    #[test]
+    fn tag_count_column_matches_windowed_counts_after_every_close() {
+        let mut t = SeedTracker::new(SeedStrategy::Popularity, 4, 1, 3);
+        // A small LCG stream: ticks with gaps, tags drawn from 0..40.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (state >> 33) % bound
+        };
+        let mut tick = 0u64;
+        for _ in 0..40 {
+            tick += 1 + next(2);
+            for _ in 0..next(30) {
+                t.observe(Tick(tick), TagId(next(40) as u32));
+            }
+            t.close_tick(Tick(tick));
+            for tag in 0..48u32 {
+                let tag = TagId(tag);
+                assert_eq!(column_count(&t, tag), t.windowed_count(tag), "{tag:?} at tick {tick}");
+            }
+        }
+    }
+
+    #[test]
+    fn drained_tag_reads_zero_after_the_next_close() {
+        let mut t = SeedTracker::new(SeedStrategy::Popularity, 2, 1, 2);
+        feed(&mut t, 0, &[(7, 3), (1, 1)]);
+        assert_eq!(column_count(&t, TagId(7)), 3);
+        feed(&mut t, 1, &[(1, 1)]);
+        assert_eq!(column_count(&t, TagId(7)), 3, "tick 0 is still in the window");
+        feed(&mut t, 2, &[(1, 1)]);
+        assert_eq!(t.windowed_count(TagId(7)), 0);
+        assert_eq!(column_count(&t, TagId(7)), 0, "the drained tag's entry is zeroed");
+        assert_eq!(column_count(&t, TagId(1)), 2);
+    }
+
+    #[test]
+    fn tag_past_the_column_end_reads_zero() {
+        let mut t = SeedTracker::new(SeedStrategy::Popularity, 2, 1, 4);
+        assert!(t.tag_counts().is_empty(), "no column before the first close");
+        feed(&mut t, 0, &[(5, 2)]);
+        assert_eq!(t.tag_counts().len(), 6, "sized by the largest live tag");
+        assert_eq!(column_count(&t, TagId(6)), 0);
+        assert_eq!(column_count(&t, TagId(u32::MAX)), 0);
+        // A smaller tag does not shrink or regrow the column.
+        feed(&mut t, 1, &[(2, 1)]);
+        assert_eq!(t.tag_counts().len(), 6);
+        assert_eq!(column_count(&t, TagId(2)), 1);
     }
 
     #[test]

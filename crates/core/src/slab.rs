@@ -11,18 +11,17 @@
 //! decayed scores and support ticks live in parallel dense vectors, and
 //! **all** correlation histories live in one contiguous
 //! `history_len`-strided `f64` arena of per-pair rings. The close loop
-//! walks slots linearly and hands the scorer its ring segments in place
+//! walks live slots in slot order — every column and the arena are read
+//! front to back — and hands the scorer its ring segments in place
 //! ([`enblogue_stats::predict::SeriesView`]); the key→slot hash map is
 //! consulted only on ingest-side operations (discovery, point lookups,
 //! migration).
 //!
-//! Deterministic iteration order is maintained *incrementally*: a sorted
-//! view of the live slots (ascending key) is repaired only when membership
-//! changed — inserts are batch-merged, removals filtered — instead of
-//! re-collecting and re-sorting every key every tick. All repair work
-//! reuses retained buffers, so a steady-state tick close performs no heap
-//! allocation (pinned by `tests/close_allocs.rs` with a counting
-//! allocator).
+//! No iteration order is maintained: scoring is independent per pair, so
+//! the order the close visits slots in cannot change a result. A freed
+//! slot goes straight back to the free list, and a steady-state tick
+//! close performs no heap allocation (pinned by `tests/close_allocs.rs`
+//! with a counting allocator).
 
 use enblogue_types::{FxHashMap, Tick};
 use enblogue_window::{DecayValue, RingBuffer};
@@ -45,16 +44,15 @@ pub struct PairState {
 /// Struct-of-arrays slab of tracked-pair state with an arena-resident
 /// history ring per slot (see the module docs).
 ///
-/// Slots are recycled through a free list; a slot freed since the last
-/// [`PairSlab::refresh_sorted`] stays quarantined until the sorted view
-/// has dropped it, so a reused slot can never appear there twice.
+/// Slots are recycled through a free list: the next insert after a
+/// removal reuses the freed slot.
 pub struct PairSlab {
     history_len: usize,
     /// Key → slot; consulted on ingest and point lookups only.
     index: FxHashMap<u64, u32>,
     /// Slot → packed key (stale for dead slots).
     keys: Vec<u64>,
-    /// Slot liveness (dead slots are free-listed or in limbo).
+    /// Slot liveness (dead slots are free-listed).
     live: Vec<bool>,
     /// Slot → decayed-max score.
     score: Vec<DecayValue>,
@@ -72,18 +70,6 @@ pub struct PairSlab {
     hist_count: Vec<u32>,
     /// Recyclable slots.
     free: Vec<u32>,
-    /// Slots freed since the last refresh — not yet recyclable (they may
-    /// still sit in the sorted view).
-    limbo: Vec<u32>,
-    /// Live slots in ascending key order; complete once repaired.
-    sorted: Vec<u32>,
-    /// Slots inserted since the last refresh (not yet in `sorted`).
-    pending: Vec<u32>,
-    /// Whether `sorted` still contains dead slots.
-    stale: bool,
-    /// Capacity-growth events in close-path buffers (see
-    /// [`crate::pairs::RegistryStats::close_allocs`]).
-    close_allocs: u64,
 }
 
 impl PairSlab {
@@ -105,11 +91,6 @@ impl PairSlab {
             hist_head: Vec::new(),
             hist_count: Vec::new(),
             free: Vec::new(),
-            limbo: Vec::new(),
-            sorted: Vec::new(),
-            pending: Vec::new(),
-            stale: false,
-            close_allocs: 0,
         }
     }
 
@@ -151,7 +132,7 @@ impl PairSlab {
     }
 
     /// Allocates a slot for `key` (blank history), registering it in the
-    /// index and the pending-insert queue. The caller fills the columns.
+    /// index. The caller fills the columns.
     fn alloc_slot(&mut self, key: u64) -> usize {
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -176,7 +157,6 @@ impl PairSlab {
             }
         };
         self.index.insert(key, slot as u32);
-        self.pending.push(slot as u32);
         slot
     }
 
@@ -227,14 +207,13 @@ impl PairSlab {
         true
     }
 
-    /// Stops tracking the pair at `slot` (the slot is quarantined until
-    /// the next sorted-view refresh).
+    /// Stops tracking the pair at `slot`; the slot is free for the next
+    /// insert.
     pub fn remove_slot(&mut self, slot: usize) {
         debug_assert!(self.live[slot], "removing a dead slot");
         self.index.remove(&self.keys[slot]);
         self.live[slot] = false;
-        self.limbo.push(slot as u32);
-        self.stale = true;
+        self.free.push(slot as u32);
     }
 
     /// Stops tracking `key`. Returns whether it was tracked.
@@ -344,7 +323,7 @@ impl PairSlab {
     }
 
     /// Iterates the live slots in slot order (no key order guarantee —
-    /// for order-independent passes like ranking and cap scoring).
+    /// every pass over the slab is order-independent).
     pub fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.keys.len()).filter(move |&slot| self.live[slot])
     }
@@ -361,95 +340,34 @@ impl PairSlab {
         self.live[slot]
     }
 
-    /// Repairs the sorted view after membership changes: dead slots are
-    /// filtered out (then become recyclable), pending inserts are sorted
-    /// and back-merged in one linear pass. A no-op when membership is
-    /// unchanged — the common steady-state tick. All work reuses retained
-    /// buffers.
-    pub fn refresh_sorted(&mut self) {
-        if self.stale {
-            let live = &self.live;
-            self.sorted.retain(|&slot| live[slot as usize]);
-            // A slot inserted and removed between refreshes dies while
-            // still queued — it must not merge into the view.
-            self.pending.retain(|&slot| live[slot as usize]);
-            self.stale = false;
-            // Quarantine over: the sorted view no longer references the
-            // freed slots, so they may be recycled.
-            self.free.append(&mut self.limbo);
-        }
-        if self.pending.is_empty() {
-            return;
-        }
-        let mut pending = std::mem::take(&mut self.pending);
-        let keys = &self.keys;
-        pending.sort_unstable_by_key(|&slot| keys[slot as usize]);
-        // Backward in-place merge of the two sorted runs.
-        let old_len = self.sorted.len();
-        let total = old_len + pending.len();
-        if total > self.sorted.capacity() {
-            self.close_allocs += 1;
-        }
-        self.sorted.resize(total, 0);
-        let mut read = old_len;
-        let mut add = pending.len();
-        let mut write = total;
-        while add > 0 {
-            if read > 0 && keys[self.sorted[read - 1] as usize] > keys[pending[add - 1] as usize] {
-                self.sorted[write - 1] = self.sorted[read - 1];
-                read -= 1;
-            } else {
-                self.sorted[write - 1] = pending[add - 1];
-                add -= 1;
-            }
-            write -= 1;
-        }
-        pending.clear();
-        self.pending = pending;
-    }
-
-    /// The live slots in ascending key order. Call
-    /// [`PairSlab::refresh_sorted`] first after membership changes.
-    #[inline]
-    pub fn sorted_slots(&self) -> &[u32] {
-        debug_assert!(!self.stale && self.pending.is_empty(), "sorted view not refreshed");
-        &self.sorted
-    }
-
     /// The live keys in ascending order, freshly collected (snapshot and
-    /// inspection paths — the close path uses [`PairSlab::sorted_slots`]).
+    /// inspection paths).
     pub fn sorted_keys(&self) -> Vec<u64> {
         let mut keys: Vec<u64> = self.live_slots().map(|slot| self.keys[slot]).collect();
         keys.sort_unstable();
         keys
     }
 
-    /// Capacity-growth events observed in close-path buffers.
-    #[inline]
-    pub fn close_allocs(&self) -> u64 {
-        self.close_allocs
-    }
-
     /// Releases excess capacity and compacts the slab onto its live slots
     /// (call after bulk removals, e.g. a migration: linear walks cover
     /// the slot *bound*, so departed slots otherwise cost forever).
     pub fn shrink_to_fit(&mut self) {
-        self.refresh_sorted();
         let live_count = self.index.len();
         let mut keys = Vec::with_capacity(live_count);
-        let mut live = Vec::with_capacity(live_count);
         let mut score = Vec::with_capacity(live_count);
         let mut last_support = Vec::with_capacity(live_count);
         let mut since = Vec::with_capacity(live_count);
         let mut hist = Vec::with_capacity(live_count * self.history_len);
         let mut hist_head = Vec::with_capacity(live_count);
         let mut hist_count = Vec::with_capacity(live_count);
-        // Walk the sorted view so the compacted slab is in key order and
-        // the view maps 1:1 onto the new slots.
-        for (new_slot, &old_slot) in self.sorted.iter().enumerate() {
-            let old_slot = old_slot as usize;
+        // Survivors keep their relative slot order.
+        for old_slot in 0..self.keys.len() {
+            if !self.live[old_slot] {
+                continue;
+            }
+            *self.index.get_mut(&self.keys[old_slot]).expect("live slot is indexed") =
+                keys.len() as u32;
             keys.push(self.keys[old_slot]);
-            live.push(true);
             score.push(self.score[old_slot]);
             last_support.push(self.last_support[old_slot]);
             since.push(self.since[old_slot]);
@@ -457,11 +375,9 @@ impl PairSlab {
             hist.extend_from_slice(&self.hist[base..base + self.history_len]);
             hist_head.push(self.hist_head[old_slot]);
             hist_count.push(self.hist_count[old_slot]);
-            *self.index.get_mut(&self.keys[old_slot]).expect("live slot is indexed") =
-                new_slot as u32;
         }
         self.keys = keys;
-        self.live = live;
+        self.live = vec![true; live_count];
         self.score = score;
         self.last_support = last_support;
         self.since = since;
@@ -470,8 +386,6 @@ impl PairSlab {
         self.hist_count = hist_count;
         self.free.clear();
         self.free.shrink_to_fit();
-        self.limbo.shrink_to_fit();
-        self.sorted = (0..live_count as u32).collect();
         self.index.shrink_to_fit();
     }
 }
@@ -516,29 +430,29 @@ mod tests {
     }
 
     #[test]
-    fn sorted_view_tracks_membership_incrementally() {
+    fn freed_slot_is_reused_without_double_counting() {
         let mut s = slab();
         for key in [30u64, 10, 20] {
             s.insert_fresh(key, Tick(0), 0, 1000);
         }
-        s.refresh_sorted();
-        let keys: Vec<u64> = s.sorted_slots().iter().map(|&slot| s.key_at(slot as usize)).collect();
-        assert_eq!(keys, vec![10, 20, 30]);
-        // Remove one, insert two (one of which reuses the freed slot only
-        // after the quarantine clears).
+        let freed = s.slot_of(20).unwrap();
         s.remove(20);
+        assert!(!s.is_live(freed));
+        assert_eq!(s.live_slots().count(), 2);
+        // The very next insert takes the freed slot; the bound stays put.
         s.insert_fresh(5, Tick(1), 0, 1000);
-        s.insert_fresh(25, Tick(1), 0, 1000);
-        s.refresh_sorted();
-        let keys: Vec<u64> = s.sorted_slots().iter().map(|&slot| s.key_at(slot as usize)).collect();
-        assert_eq!(keys, vec![5, 10, 25, 30]);
-        assert_eq!(keys.len(), s.len());
-        assert_eq!(s.sorted_keys(), keys);
-        // The freed slot is recyclable now and must not duplicate.
+        assert_eq!(s.slot_of(5), Some(freed));
+        assert_eq!(s.slot_bound(), 3);
+        assert_eq!(s.history_count(freed), 0, "a reused slot starts with a blank ring");
+        assert_eq!(s.len(), 3);
+        let live: Vec<usize> = s.live_slots().collect();
+        assert_eq!(live, vec![0, 1, 2], "each live slot is walked exactly once");
+        assert_eq!(s.sorted_keys(), vec![5, 10, 30]);
+        // With the free list empty, the next insert appends.
         s.insert_fresh(15, Tick(2), 0, 1000);
-        s.refresh_sorted();
-        let keys: Vec<u64> = s.sorted_slots().iter().map(|&slot| s.key_at(slot as usize)).collect();
-        assert_eq!(keys, vec![5, 10, 15, 25, 30]);
+        assert_eq!(s.slot_of(15), Some(3));
+        assert_eq!(s.len(), 4);
+        assert_eq!(s.live_slots().count(), 4);
     }
 
     #[test]
@@ -582,21 +496,7 @@ mod tests {
             let slot = s.slot_of(key * 2).expect("survivor");
             assert_eq!(s.newest_history(slot), Some(key as f64));
         }
-        s.refresh_sorted();
-        assert_eq!(s.sorted_slots().len(), 5);
-    }
-
-    #[test]
-    fn steady_state_refresh_is_a_noop() {
-        let mut s = slab();
-        for key in 0..8u64 {
-            s.insert_fresh(key, Tick(0), 0, 1000);
-        }
-        s.refresh_sorted();
-        let before = s.close_allocs();
-        for _ in 0..100 {
-            s.refresh_sorted();
-        }
-        assert_eq!(s.close_allocs(), before, "no growth without membership changes");
+        let keys: Vec<u64> = s.live_slots().map(|slot| s.key_at(slot)).collect();
+        assert_eq!(keys, vec![30, 32, 34, 36, 38], "survivors keep their slot order");
     }
 }

@@ -975,13 +975,15 @@ impl TickStage for ShiftScoreStage {
         // Split borrows: the registry mutates shard-locally while the
         // correlation closure reads the (frozen) window statistics.
         let PipelineState { registry, seed_tracker, term_dists, scorer, probes, .. } = state;
-        let seed_tracker = &*seed_tracker;
+        // The seed stage's dense column: two array loads per pair instead
+        // of two hash probes. A tag past its end has a zero window count.
+        let tag_counts = seed_tracker.tag_counts();
+        let count_of = |tag: TagId| tag_counts.get(tag.index()).copied().unwrap_or(0);
         let term_dists = &*term_dists;
         let score_span = enblogue_telemetry::span!(probes.close_score);
         registry.score_all(tick, now, scorer, parallel, move |pair, ab| match measure {
             MeasureKind::Set(measure) => {
-                let a = seed_tracker.windowed_count(pair.lo());
-                let b = seed_tracker.windowed_count(pair.hi());
+                let (a, b) = (count_of(pair.lo()), count_of(pair.hi()));
                 measure.compute(PairCounts::new(a, b, ab, n))
             }
             MeasureKind::JsDivergence => {

@@ -11,7 +11,8 @@
 //! over the open-tick candidates, shift scoring across every tracked
 //! pair, and eviction. Ranking *emission* is excluded: it returns a
 //! freshly built `Vec` by contract. Ingest of previously seen keys is
-//! also covered (lanes and candidate sets retain their capacity).
+//! also covered (lanes and candidate sets retain their capacity), as is
+//! the seed tracker's dense tag-count refresh.
 
 use enblogue_core::pairs::{ScoringMode, ShardedPairRegistry};
 use enblogue_stats::predict::PredictorKind;
@@ -152,6 +153,35 @@ fn steady_state_close_is_allocation_free() {
     // publish's own contribution is exactly zero, because retired views
     // are pooled and `export_view` refills their columns in place.)
     serve_publish_is_allocation_free();
+
+    // Scenario 6: the seed tracker's dense tag-count column. Refreshed at
+    // every seed close; once it spans the largest live tag it is
+    // zero-filled and rewritten in place.
+    tag_count_refresh_is_allocation_free();
+}
+
+fn tag_count_refresh_is_allocation_free() {
+    use enblogue_core::config::SeedStrategy;
+    use enblogue_core::seeds::SeedTracker;
+
+    let mut tracker = SeedTracker::new(SeedStrategy::Popularity, 8, 1, 6);
+    for t in 0..12u64 {
+        for tag in 0..PAIRS {
+            if (tag + t as u32).is_multiple_of(3) {
+                tracker.observe(Tick(t), TagId(tag));
+            }
+        }
+        let _ = tracker.close_tick(Tick(t));
+    }
+    let before: Vec<u64> = tracker.tag_counts().to_vec();
+    let (_, allocs) = alloc_counter::measure(|| {
+        for _ in 0..8 {
+            tracker.refresh_tag_counts();
+        }
+    });
+    assert_eq!(allocs, 0, "a warm tag-count refresh must be allocation-free");
+    assert_eq!(tracker.tag_counts(), &before[..], "refreshing an unchanged window is idempotent");
+    assert!(before.iter().any(|&count| count > 0), "the column holds live counts");
 }
 
 fn serve_engine(interner: &enblogue_types::TagInterner) -> enblogue_core::engine::EnBlogueEngine {

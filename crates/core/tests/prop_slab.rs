@@ -1,19 +1,19 @@
 //! Property tests for the slab-resident pair storage: the sharded
 //! registry (slab columns, arena history rings, lane-based windowed
-//! counts, incrementally maintained iteration order) must be observably
-//! indistinguishable from a straightforward map-of-structs reference
-//! model under random ingest / close / evict / migrate /
-//! snapshot-restore sequences — including bit-exact scores, since both
-//! sides must perform the identical float operations in the identical
-//! order.
+//! counts) must be observably indistinguishable from a straightforward
+//! map-of-structs reference model under random ingest / close / evict /
+//! migrate / snapshot-restore sequences — including bit-exact scores,
+//! since both sides must perform the identical float operations in the
+//! identical order. A second property pins that the slot layout, and so
+//! the order the close visits pairs in, has no effect on any result.
 
-use enblogue_core::pairs::{RebalanceConfig, ShardedPairRegistry};
+use enblogue_core::pairs::{RebalanceConfig, ScoringMode, ShardedPairRegistry};
 use enblogue_stats::predict::PredictorKind;
 use enblogue_stats::shift::{ErrorNormalization, ShiftScorer};
 use enblogue_types::{FxHashSet, TagId, TagPair, Tick, Timestamp};
 use enblogue_window::DecayValue;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 const POOL: usize = 4;
 const SLOTS_PER_SHARD: usize = 4;
@@ -176,7 +176,162 @@ fn roundtrip(registry: ShardedPairRegistry) -> ShardedPairRegistry {
     .expect("self-produced snapshot restores")
 }
 
+/// Asserts that two registries are observably identical at `tick`:
+/// tracked keys, histories and score bits of every pair, the ranking, and
+/// the snapshot bytes.
+fn assert_same_state(
+    a: &ShardedPairRegistry,
+    b: &ShardedPairRegistry,
+    tick: u64,
+) -> Result<(), TestCaseError> {
+    let now = Timestamp::from_hours(tick);
+    let keys = a.tracked_keys();
+    prop_assert_eq!(&keys, &b.tracked_keys(), "tracked keys at tick {}", tick);
+    for &packed in &keys {
+        let pair = TagPair::from_packed(packed);
+        let bits = |r: &ShardedPairRegistry| -> Vec<u64> {
+            r.history_of(pair).expect("tracked").iter().map(|v| v.to_bits()).collect()
+        };
+        prop_assert_eq!(bits(a), bits(b), "history of {} at tick {}", pair, tick);
+        let (ia, ib) = (a.info(pair, Tick(tick), now), b.info(pair, Tick(tick), now));
+        let (ia, ib) = (ia.expect("tracked"), ib.expect("tracked"));
+        prop_assert_eq!(ia.score.to_bits(), ib.score.to_bits(), "score of {} at {}", pair, tick);
+        prop_assert_eq!(ia.tracked_ticks, ib.tracked_ticks, "age of {} at tick {}", pair, tick);
+    }
+    let ranking_bits = |r: &ShardedPairRegistry| -> Vec<(u64, u64)> {
+        r.ranking(TOP_K, now).iter().map(|&(p, s)| (p.packed(), s.to_bits())).collect()
+    };
+    prop_assert_eq!(ranking_bits(a), ranking_bits(b), "ranking at tick {}", tick);
+    prop_assert!(a.snapshot_bytes() == b.snapshot_bytes(), "snapshot bytes at tick {}", tick);
+    Ok(())
+}
+
+/// A statically sharded registry for the slot-order property (its cap
+/// never binds while the pair set is being discovered).
+const ORDER_CAP: usize = 32;
+
+fn static_registry() -> ShardedPairRegistry {
+    ShardedPairRegistry::new(POOL, WINDOW, Timestamp::DAY, MIN_SUPPORT, ORDER_CAP)
+}
+
+fn static_roundtrip(registry: &ShardedPairRegistry, mode: ScoringMode) -> ShardedPairRegistry {
+    let mut restored = ShardedPairRegistry::from_snapshot_bytes(
+        &registry.snapshot_bytes(),
+        POOL,
+        WINDOW,
+        Timestamp::DAY,
+        MIN_SUPPORT,
+        ORDER_CAP,
+        RebalanceConfig::disabled(),
+    )
+    .expect("self-produced snapshot restores");
+    restored.set_scoring(mode);
+    restored
+}
+
+/// Fisher–Yates over a small LCG, so the permutation is a function of the
+/// generated seed.
+fn shuffle<T>(items: &mut [T], mut state: u64) {
+    for i in (1..items.len()).rev() {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        items.swap(i, (state >> 33) as usize % (i + 1));
+    }
+}
+
 proptest! {
+    /// The close's visiting order is the slab's slot order, and that order
+    /// is an accident of discovery and eviction history. Two registries
+    /// discover the same pair set — one in ascending key order, one in a
+    /// random permutation interleaved with evictions so freed slots get
+    /// reused — and must then agree bit for bit through `N` identical
+    /// closes in both scoring modes, including across a snapshot
+    /// round-trip.
+    #[test]
+    fn slot_order_has_no_effect_on_results(
+        pair_set in proptest::collection::hash_set((0u32..16, 0u32..16), 1..=ORDER_CAP),
+        decoys in proptest::collection::hash_set((0u32..16, 0u32..16), 1..24),
+        layout_seed in 0u64..u64::MAX,
+        obs in proptest::collection::vec((0u64..6, 0u32..16, 0u32..16), 0..200),
+        snapshot_at in 0u64..6,
+    ) {
+        const START: u64 = WINDOW as u64;
+        let s = scorer();
+        let seeds: FxHashSet<TagId> = (0..40u32).filter(|a| a % 2 == 0).map(TagId).collect();
+        let key = |(a, b): (u32, u32)| TagPair::new(TagId(a), TagId(b + 100)).packed();
+        let reals: BTreeSet<u64> = pair_set.iter().map(|&p| key(p)).collect();
+        // Decoys live in their own tag range, are discovered a full window
+        // earlier than the real pairs, and are never observed — so the
+        // support eviction at `START` removes exactly them.
+        let decoys: Vec<u64> =
+            decoys.iter().map(|&(a, b)| TagPair::new(TagId(a + 200), TagId(b + 300)).packed()).collect();
+        let backfill = |packed: u64| (packed % WINDOW as u64) as usize;
+
+        for mode in [ScoringMode::Batched, ScoringMode::Scalar] {
+            // A: reals ascending, then every decoy, then one eviction.
+            let mut a = static_registry();
+            a.set_scoring(mode);
+            for &packed in &reals {
+                a.discover(TagPair::from_packed(packed), Tick(START), backfill(packed));
+            }
+            for &packed in &decoys {
+                a.discover(TagPair::from_packed(packed), Tick(0), 0);
+            }
+            a.evict(Tick(START), Timestamp::from_hours(START));
+
+            // B: reals permuted, decoys and evictions interleaved.
+            let mut b = static_registry();
+            b.set_scoring(mode);
+            let mut order: Vec<u64> = reals.iter().copied().collect();
+            shuffle(&mut order, layout_seed);
+            let mut pending_decoys = decoys.iter().copied();
+            let mut state = layout_seed ^ 0x9e37_79b9_7f4a_7c15;
+            for packed in order {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                match (state >> 40) % 3 {
+                    0 => {
+                        if let Some(decoy) = pending_decoys.next() {
+                            b.discover(TagPair::from_packed(decoy), Tick(0), 0);
+                        }
+                    }
+                    1 => {
+                        b.evict(Tick(START), Timestamp::from_hours(START));
+                    }
+                    _ => {}
+                }
+                b.discover(TagPair::from_packed(packed), Tick(START), backfill(packed));
+            }
+            for decoy in pending_decoys {
+                b.discover(TagPair::from_packed(decoy), Tick(0), 0);
+            }
+            b.evict(Tick(START), Timestamp::from_hours(START));
+            prop_assert_eq!(a.len(), reals.len());
+            assert_same_state(&a, &b, START)?;
+
+            for step in 0..6u64 {
+                let tick = START + step;
+                let now = Timestamp::from_hours(tick);
+                for r in [&mut a, &mut b] {
+                    for &(t, x, y) in &obs {
+                        if t == step {
+                            r.observe_pair(Tick(tick), key((x, y)));
+                        }
+                    }
+                    r.advance_to(Tick(tick));
+                    r.discover_seeded(&seeds, Tick(tick), 2, false);
+                    r.score_all(Tick(tick), now, &s, false, correlate);
+                    r.evict_parallel(Tick(tick), now, false);
+                }
+                assert_same_state(&a, &b, tick)?;
+                if step == snapshot_at {
+                    a = static_roundtrip(&a, mode);
+                    b = static_roundtrip(&b, mode);
+                    assert_same_state(&a, &b, tick)?;
+                }
+            }
+        }
+    }
+
     /// The full observable surface of the slab registry — tracked keys,
     /// correlation histories, windowed counts, rankings, eviction totals
     /// — matches the reference model at every tick close, with scripted

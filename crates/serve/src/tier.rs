@@ -220,4 +220,12 @@ impl QueryView for QueryHandle {
     fn personalized(&self, profile: &UserProfile) -> Option<PersonalizedRanking> {
         self.view().and_then(|v| v.personalized(profile))
     }
+
+    fn top_k(&self, k: usize) -> Vec<(TagPair, f64)> {
+        self.view().map(|v| v.top_k(k)).unwrap_or_default()
+    }
+
+    fn pairs_with_tag(&self, tag: TagId) -> Vec<(TagPair, f64)> {
+        self.view().map(|v| v.pairs_with_tag(tag)).unwrap_or_default()
+    }
 }

@@ -76,4 +76,12 @@ impl QueryView for TickView {
     fn personalized(&self, profile: &UserProfile) -> Option<PersonalizedRanking> {
         self.data.personalized(profile)
     }
+
+    fn top_k(&self, k: usize) -> Vec<(TagPair, f64)> {
+        self.data.top_k(k)
+    }
+
+    fn pairs_with_tag(&self, tag: TagId) -> Vec<(TagPair, f64)> {
+        self.data.pairs_with_tag(tag)
+    }
 }

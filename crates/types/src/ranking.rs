@@ -41,6 +41,15 @@ impl RankingSnapshot {
         &self.ranked[..k.min(self.ranked.len())]
     }
 
+    /// The ranked pairs containing `tag`, best first. Sized exactly: one
+    /// allocation when something matches, none otherwise.
+    pub fn pairs_with_tag(&self, tag: crate::tag::TagId) -> Vec<(TagPair, f64)> {
+        let has_tag = |p: &TagPair| p.lo() == tag || p.hi() == tag;
+        let mut out = Vec::with_capacity(self.ranked.iter().filter(|(p, _)| has_tag(p)).count());
+        out.extend(self.ranked.iter().filter(|(p, _)| has_tag(p)));
+        out
+    }
+
     /// Iterates the distinct member tags of the ranked pairs, in ranking
     /// order (each pair contributes its low then high tag; duplicates
     /// across pairs are *not* filtered — callers that need a set should
@@ -73,5 +82,9 @@ mod tests {
         assert!(!snap.contains_in_top(pair(3, 4), 1));
         assert_eq!(snap.score_of(pair(3, 4)), Some(0.4));
         assert_eq!(snap.score_of(pair(5, 6)), None);
+        assert_eq!(snap.top(0), &[][..]);
+        assert_eq!(snap.top(5), &snap.ranked[..]);
+        assert_eq!(snap.pairs_with_tag(TagId(3)), vec![(pair(3, 4), 0.4)]);
+        assert!(snap.pairs_with_tag(TagId(9)).is_empty());
     }
 }

@@ -180,7 +180,18 @@ fn full_detail_views_match_engine_accessors_across_the_grid() {
             for &(pair, _) in snapshot.ranked.iter().take(3) {
                 assert_eq!(live.pair_info(pair), view.pair_info(pair));
                 assert_eq!(live.pairs_with_tag(pair.lo()), view.pairs_with_tag(pair.lo()));
+                assert_eq!(live.pairs_with_tag(pair.hi()), handle.pairs_with_tag(pair.hi()));
             }
+            // The drill-down edges, handle vs engine: an empty top-k, a k
+            // past the ranking's end, and a tag in no ranked pair.
+            let len = snapshot.ranked.len();
+            for k in [0, len, len + 7] {
+                assert_eq!(handle.top_k(k), live.top_k(k), "{name}: top_k({k})");
+            }
+            assert_eq!(handle.top_k(len + 7), snapshot.ranked, "{name}: k past the end");
+            let unranked = TagId(u32::MAX);
+            assert!(handle.pairs_with_tag(unranked).is_empty(), "{name}: unranked tag");
+            assert_eq!(handle.pairs_with_tag(unranked), live.pairs_with_tag(unranked));
         });
         assert!(closes > 0, "{name}: the replay must close ticks");
         if rebalance.is_some() {
