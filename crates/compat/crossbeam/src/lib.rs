@@ -1,9 +1,9 @@
 //! Offline stub for `crossbeam`.
 //!
 //! Implements the small slice of `crossbeam::channel` the workspace uses
-//! (bounded MPSC channels between operator threads) on top of
-//! `std::sync::mpsc::sync_channel`. Single-consumer is sufficient: every
-//! receiver is owned by exactly one operator thread.
+//! (the ingest pipeline's bounded work and done queues) on top of
+//! `std::sync::mpsc::sync_channel`. Single-consumer is sufficient: the
+//! pipeline's partition workers share the work receiver behind a mutex.
 
 /// Multi-producer channels (subset of `crossbeam::channel`).
 pub mod channel {

@@ -1,10 +1,10 @@
 //! Engine configuration.
 
 use crate::pairs::{RebalanceConfig, ScoringMode};
+use enblogue_ingest::default_parallelism;
 use enblogue_stats::correlation::CorrelationMeasure;
 use enblogue_stats::predict::PredictorKind;
 use enblogue_stats::shift::ErrorNormalization;
-use enblogue_stream::exec::default_parallelism;
 use enblogue_types::{EnBlogueError, TickSpec, Timestamp};
 use serde::{Deserialize, Serialize};
 

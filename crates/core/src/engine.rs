@@ -9,9 +9,7 @@
 //! data").
 //!
 //! All tick semantics live in [`crate::stages`]; this type only provides
-//! the classic engine-shaped API. The DAG operator
-//! ([`crate::ops::EngineOp`]) wraps the *same* pipeline, so both execution
-//! surfaces are a single implementation.
+//! the classic engine-shaped API.
 
 use crate::config::EnBlogueConfig;
 use crate::ingest::ReplayIngest;
@@ -46,12 +44,6 @@ impl EnBlogueEngine {
     /// The underlying stage pipeline (read access).
     pub fn pipeline(&self) -> &StagePipeline {
         &self.pipeline
-    }
-
-    /// Unwraps the engine into its stage pipeline (the DAG operator mounts
-    /// engines this way).
-    pub fn into_pipeline(self) -> StagePipeline {
-        self.pipeline
     }
 
     /// Appends a custom [`crate::stages::TickStage`] behind the standard
@@ -753,7 +745,7 @@ mod tests {
         assert_eq!(m.distinct_tags, 2);
         assert_eq!(
             m.shards,
-            enblogue_stream::exec::default_parallelism().min(16),
+            enblogue_ingest::default_parallelism().min(16),
             "shard count defaults to the machine's parallelism"
         );
         assert!(m.seeds_current > 0);

@@ -6,9 +6,9 @@
 //! module owns the semantics: [`ReplayIngest`] implements
 //! [`IngestSink`] over a [`StagePipeline`], so batches land in
 //! [`StagePipeline::process_partitioned`] and tick closes run through the
-//! shared gap-closing path. Because the DAG sink and the stand-alone
-//! engine are both thin adapters over the same pipeline, wiring the sink
-//! here gives *both* surfaces shard-partitioned parallel ingestion.
+//! shared gap-closing path. Because the stand-alone engine is a thin
+//! adapter over the same pipeline, wiring the sink here gives the engine
+//! and any bare pipeline host shard-partitioned parallel ingestion.
 
 use crate::stages::StagePipeline;
 use enblogue_ingest::partition::{PartitionSpec, PartitionedBatch};

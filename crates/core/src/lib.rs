@@ -22,15 +22,18 @@
 //!   optional shard-parallel tick close,
 //! * [`engine::EnBlogueEngine`] — the stand-alone engine (feed documents,
 //!   close ticks, collect [`RankingSnapshot`]s),
-//! * [`ops`] — the pipeline and entity tagger wrapped as stream operators,
-//! * [`pipeline`] — full query plans on the push-based DAG with multi-plan
-//!   sharing (§4.1),
+//! * [`ingest::ReplayIngest`] — the sink of `enblogue-ingest`'s parallel
+//!   ingestion pipeline,
 //! * [`personalization`] — per-user continuous keyword queries and category
 //!   preferences re-ranking the topics (§5, Show Case 3),
 //! * [`query`] — the unified [`query::QueryView`] read surface shared by
-//!   the in-place engine view and the concurrent serving tier,
-//! * [`notify`] — the push broker substituting the Ajax Push Engine
-//!   front-end (§4.2).
+//!   the in-place engine view and the concurrent serving tier
+//!   (`enblogue-serve`, whose per-user subscriptions are the push path
+//!   standing in for the Ajax Push Engine front-end, §4.2).
+//!
+//! Comparing rankings from several parameter settings over one stream
+//! (§4.1) needs no extra machinery: prepare the documents once — entity
+//! tagging included — and feed the same slice to one engine per setting.
 //!
 //! # Quickstart
 //!
@@ -75,12 +78,10 @@
 
 pub mod config;
 pub mod engine;
+mod exec;
 pub mod ingest;
-pub mod notify;
-pub mod ops;
 pub mod pairs;
 pub mod personalization;
-pub mod pipeline;
 pub mod query;
 pub mod seeds;
 pub mod slab;
@@ -94,7 +95,6 @@ pub use config::{
 pub use enblogue_types::RankingSnapshot;
 pub use engine::EnBlogueEngine;
 pub use ingest::ReplayIngest;
-pub use notify::{PushBroker, PushSubscription, RankingUpdate};
 pub use pairs::{RebalanceConfig, RegistryStats, ScoringMode, ShardedPairRegistry};
 pub use personalization::{PersonalizedRanking, UserProfile};
 pub use query::{EngineQuery, PublishDetail, QueryView, ViewData};

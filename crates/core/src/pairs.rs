@@ -11,9 +11,8 @@
 //! the versioned [`enblogue_types::RoutingTable`], storage:
 //! [`enblogue_window::ShardedWindowedCounter`]). Every pair's state is
 //! fully contained in its shard, so discovery, scoring and support-based
-//! eviction fan out shard-parallel through
-//! [`enblogue_stream::exec::fanout`] while the cap-based eviction and the
-//! final ranking merge stay global.
+//! eviction fan out shard-parallel through the crate's `exec::fanout`
+//! while the cap-based eviction and the final ranking merge stay global.
 //!
 //! Routing is *state*, not a pure function: keys hash onto a fixed slot
 //! grid, slots map to shard stores, and a [`RebalanceConfig`]-driven
@@ -28,13 +27,13 @@
 //! pure execution knobs, never semantic ones (pinned by
 //! `tests/stage_parity.rs`).
 
+use crate::exec::fanout;
 use crate::query::ViewData;
 use crate::slab::PairSlab;
 pub use crate::slab::PairState;
 use crate::snapshot::{corrupt, SnapReader, SnapWriter};
 use enblogue_stats::predict::{HistoryTile, SeriesView, LANES};
 use enblogue_stats::shift::ShiftScorer;
-use enblogue_stream::exec::fanout;
 use enblogue_telemetry::{EventKind, Histogram, Journal, Telemetry};
 use enblogue_types::{
     EnBlogueError, FxHashSet, RoutingTable, SharedRouting, TagId, TagPair, Tick, Timestamp,

@@ -13,8 +13,8 @@
 //!
 //! Personalization deliberately sits *behind* the shared stage pipeline:
 //! `N` subscriptions are `N` cheap re-rankings of the **same**
-//! [`RankingSnapshot`], applied by [`crate::notify::PushBroker::publish`]
-//! at delivery time. Windowing, pair tracking and shift scoring — the
+//! [`RankingSnapshot`], applied at delivery time (the serving tier's
+//! per-user subscriptions). Windowing, pair tracking and shift scoring — the
 //! expensive part — run exactly once per tick in the shared
 //! [`crate::stages::StagePipeline`] regardless of subscriber count; this
 //! is the paper's "shared shift computation" carried to the user-facing
@@ -193,10 +193,9 @@ impl PersonalizedRanking {
 /// This is the shared half of the relevance pass: resolve once per
 /// snapshot, then re-rank any number of profiles against the same table
 /// with [`personalize_shared`]. The serving tier does exactly this at
-/// publish time so personalized queries never touch the interner lock;
-/// [`crate::notify::PushBroker`] does it once per published snapshot for
-/// all clients. `out` is cleared first and reused (no allocation once its
-/// capacity is warm).
+/// publish time so personalized queries never touch the interner lock.
+/// `out` is cleared first and reused (no allocation once its capacity is
+/// warm).
 pub fn resolve_ranked_names_into(
     snapshot: &RankingSnapshot,
     out: &mut Vec<(TagId, Arc<str>)>,
@@ -235,7 +234,7 @@ pub fn resolve_ranked_names(
 ///
 /// This resolves the ranked tags' names and delegates to
 /// [`personalize_shared`] — callers re-ranking many profiles against one
-/// snapshot (the push broker, serving-tier subscriptions) should resolve
+/// snapshot (serving-tier subscriptions) should resolve
 /// once and share the table.
 pub fn personalize(
     snapshot: &RankingSnapshot,

@@ -1,11 +1,10 @@
 //! The shared tick-stage pipeline: one implementation of the EnBlogue loop
 //! for every execution surface.
 //!
-//! Historically the stand-alone engine and the stream DAG each carried
-//! their own copy of the tick-close logic; every improvement (sharding,
-//! batching, parallel close) had to land twice. This module is the single
-//! home of that logic now. The paper's five phases are factored into
-//! [`TickStage`]s driven by a [`StagePipeline`]:
+//! This module is the single home of the tick-close logic; every
+//! improvement (sharding, batching, parallel close) lands once. The
+//! paper's five phases are factored into [`TickStage`]s driven by a
+//! [`StagePipeline`]:
 //!
 //! 1. [`SeedSelectStage`] — seed tags over the closing window (§3(i)),
 //! 2. [`TermWindowStage`] — per-tag/term window bookkeeping,
@@ -17,11 +16,12 @@
 //!
 //! Consumers are thin adapters: [`crate::engine::EnBlogueEngine`] wraps one
 //! pipeline behind the classic `process_doc`/`close_tick` API, and
-//! [`crate::ops::EngineOp`] mounts the same pipeline as a DAG sink, so `N`
-//! query plans / personalization subscriptions share one pass of shift
-//! computation ("shared shift computation", §4.1). Shared state lives in
-//! [`PipelineState`]; stages hold logic, not data, which is what lets both
-//! hosts and all shards observe one consistent world.
+//! [`crate::ingest::ReplayIngest`] feeds one from the parallel ingestion
+//! pipeline. Stages pushed behind the standard ones (the serving tier's
+//! publish stage) let `N` personalization subscriptions share one pass of
+//! shift computation ("shared shift computation", §4.1). Shared state
+//! lives in [`PipelineState`]; stages hold logic, not data, which is what
+//! lets every host and all shards observe one consistent world.
 
 use crate::config::{EnBlogueConfig, MeasureKind};
 use crate::pairs::{ShardedPairRegistry, TrackedPairInfo};
@@ -208,7 +208,7 @@ impl PipelineProbes {
 /// Stages mutate this through their hooks; hosts read it through the
 /// accessor methods. Keeping state here (rather than inside stages) is
 /// what makes the stages reorderable, testable and shareable between the
-/// engine facade and the DAG operator.
+/// engine facade and the ingestion sink.
 pub struct PipelineState {
     pub(crate) config: EnBlogueConfig,
     pub(crate) seed_tracker: SeedTracker,
@@ -1462,8 +1462,8 @@ impl StagePipeline {
     /// `tick` (gap ticks keep correlation histories tick-aligned), calling
     /// `emit` per snapshot. Already-closed ticks are skipped.
     ///
-    /// This is the single gap-closing implementation shared by the DAG
-    /// operator (tick boundaries may jump) and the replay driver.
+    /// This is the single gap-closing implementation shared by the replay
+    /// drivers and the ingestion sink (tick boundaries may jump).
     pub fn close_through(&mut self, tick: Tick, mut emit: impl FnMut(RankingSnapshot)) {
         let mut t = match self.last_closed {
             Some(last) if last >= tick => return,

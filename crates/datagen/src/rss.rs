@@ -4,8 +4,8 @@
 //! Twitter and several RSS feeds from blogs and online newspapers". Each
 //! synthetic feed is *themed*: it draws tags from its own biased slice of
 //! the vocabulary (a sports blog mostly emits sports tags), at a moderate
-//! per-hour rate. Feeds are merged into one stream by
-//! `enblogue_stream::MergeSource`.
+//! per-hour rate. To merge feeds into one stream, concatenate them in feed
+//! order and stable-sort by timestamp (ties keep feed order).
 
 use crate::vocab::Vocabulary;
 use crate::zipf::Zipf;

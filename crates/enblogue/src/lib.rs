@@ -13,12 +13,11 @@
 //! | [`types`] | `enblogue-types` | documents, tags, pairs, ticks, rankings |
 //! | [`window`] | `enblogue-window` | sliding windows, sketches, decay, top-k |
 //! | [`stats`] | `enblogue-stats` | correlation measures, divergences, predictors |
-//! | [`stream`] | `enblogue-stream` | push-based operator DAG + executors |
 //! | [`telemetry`] | `enblogue-telemetry` | metrics registry, latency histograms, span tracing, exporters |
 //! | [`ingest`] | `enblogue-ingest` | shard-partitioned, batched, backpressured ingestion |
 //! | [`entity`] | `enblogue-entity` | gazetteer + ontology entity tagging |
-//! | [`core`] | `enblogue-core` | the EnBlogue engine, personalization, push broker |
-//! | [`serve`] | `enblogue-serve` | epoch-versioned read snapshots, lock-free concurrent query handle |
+//! | [`core`] | `enblogue-core` | the EnBlogue engine, personalization, the read API |
+//! | [`serve`] | `enblogue-serve` | epoch-versioned read snapshots, lock-free concurrent query handle, per-user subscriptions |
 //! | [`datagen`] | `enblogue-datagen` | synthetic NYT / Twitter / RSS workloads |
 //! | [`baseline`] | `enblogue-baseline` | TwitterMonitor-style burst baseline |
 //!
@@ -30,28 +29,33 @@
 //! # Architecture: one stage pipeline, many surfaces
 //!
 //! EnBlogue's systems contribution is *shared shift computation*: however
-//! many query plans or personalization subscriptions are registered, the
-//! expensive per-tick loop runs once. The workspace enforces that with a
-//! single implementation of the tick semantics and thin adapters above it:
+//! many personalization subscriptions are registered, the expensive
+//! per-tick loop runs once. The workspace enforces that with a single
+//! implementation of the tick semantics and thin adapters above it:
 //!
 //! ```text
-//!     EnBlogueEngine          EngineOp (DAG sink)        IngestPipeline
-//!     (process_doc[s] /       (Event::Doc / DocBatch /   (bounded queue →
-//!      close_tick)             TickBoundary, sync or      partition workers →
-//!           │                  threaded executor)         re-sequenced apply)
-//!           │                        │                          │
-//!           └────────────┬──────────┴──────────────────────────┘
-//!                        ▼
+//!     EnBlogueEngine                     IngestPipeline → ReplayIngest
+//!     (process_doc[s] / close_tick /     (bounded queue → partition
+//!      run_replay / offer_doc)            workers → re-sequenced apply)
+//!           │                                    │
+//!           └─────────────────┬──────────────────┘
+//!                             ▼
 //!        enblogue_core::stages::StagePipeline
 //!   seed-select → term-window → pair-count → shift-score → rank-emit
+//!        → serve-publish (QueryHandle / Subscription reads)
 //!                        │
 //!                        ▼
 //!        ShardedPairRegistry (pool of hash-shard stores)
 //!   versioned RoutingTable: key ──mix──► slot ──assignment──► store
 //!   store 0 … store N−1: pair states + windowed pair counts
-//!   ingest and close fan out via enblogue_stream::exec::fanout;
+//!   ingest and close fan out over scoped threads, one chunk per core;
 //!   a load-aware rebalancer may re-target slots at tick close
 //! ```
+//!
+//! Comparing rankings from several parameter settings over one stream
+//! (§4.1) is "tag the documents once, then feed N engines": entity
+//! tagging ([`entity::EntityTagger::tag_document`]) runs once per
+//! document, and each engine replays the same tagged slice.
 //!
 //! **Which layer owns what:**
 //!
@@ -66,20 +70,19 @@
 //! * `enblogue-stats` owns the scoring math; `stats::ShiftScorer` is
 //!   statically asserted `Send + Sync` so one instance is shared by
 //!   reference across shard workers.
-//! * `enblogue-stream` owns *execution*: the operator DAG with structural
-//!   plan sharing, the synchronous and threaded executors, and the
-//!   [`stream::exec::fanout`] primitive that drives shard-parallel close.
 //! * `enblogue-ingest` owns the *feed path*: the pure partitioning
 //!   pre-pass ([`ingest::partition_docs`] buckets each batch's pair
 //!   observations by shard) and the backpressured
 //!   [`ingest::IngestPipeline`] (bounded work queue, partitioning worker
-//!   pool, deterministic re-sequencing). `enblogue-core` implements the
-//!   sink side over the stage pipeline, so both surfaces ingest in
-//!   shard-partitioned batches.
+//!   pool, deterministic re-sequencing), plus
+//!   [`ingest::default_parallelism`], the default of every execution
+//!   knob. `enblogue-core` implements the sink side over the stage
+//!   pipeline.
 //! * `enblogue-core` owns the *semantics*: the five
 //!   [`core::stages::TickStage`]s, the
-//!   [`core::pairs::ShardedPairRegistry`], and the two adapters
-//!   ([`core::engine::EnBlogueEngine`], [`core::ops::EngineOp`]).
+//!   [`core::pairs::ShardedPairRegistry`] with its shard fan-out, and the
+//!   two adapters ([`core::engine::EnBlogueEngine`],
+//!   [`core::ingest::ReplayIngest`]).
 //!   Personalization re-ranks the shared snapshot at delivery time — it
 //!   never re-runs the pipeline. The [`core::query::QueryView`] trait is
 //!   the one read API over closed-tick results: top-k, drill-down, pair
@@ -89,7 +92,8 @@
 //!   epoch-versioned [`serve::TickView`] behind a lock-free cell;
 //!   [`serve::QueryHandle`] clones answer `QueryView` queries from any
 //!   number of threads while ingest continues, and per-user
-//!   [`serve::Subscription`]s share each publish's engine pass.
+//!   [`serve::Subscription`]s share each publish's engine pass — the one
+//!   delivery path.
 //!
 //! Sharding (`EnBlogueConfig::shards`), shard-parallel close
 //! (`EnBlogueConfig::parallel_close`), load-aware rebalancing
@@ -112,7 +116,6 @@ pub use enblogue_entity as entity;
 pub use enblogue_ingest as ingest;
 pub use enblogue_serve as serve;
 pub use enblogue_stats as stats;
-pub use enblogue_stream as stream;
 pub use enblogue_telemetry as telemetry;
 pub use enblogue_types as types;
 pub use enblogue_window as window;
@@ -125,8 +128,6 @@ pub mod prelude {
     };
     pub use enblogue_core::engine::{EnBlogueEngine, EngineMetrics};
     pub use enblogue_core::ingest::ReplayIngest;
-    pub use enblogue_core::notify::{PushBroker, PushSubscription, RankingUpdate};
-    pub use enblogue_core::ops::{EngineOp, EntityTagOp};
     pub use enblogue_core::pairs::{
         RebalanceConfig, RegistryStats, ScoringMode, ShardedPairRegistry,
     };
@@ -134,7 +135,6 @@ pub mod prelude {
         jaccard_at_k, personalize, personalize_shared, resolve_ranked_names, PersonalizedRanking,
         UserProfile,
     };
-    pub use enblogue_core::pipeline::PipelineBuilder;
     pub use enblogue_core::query::{EngineQuery, PublishDetail, QueryView, ViewData};
     pub use enblogue_core::snapshot::{latest_checkpoint, list_checkpoints, SnapshotStats};
     pub use enblogue_core::stages::{StagePipeline, TickStage};
@@ -147,9 +147,6 @@ pub mod prelude {
     pub use enblogue_stats::correlation::CorrelationMeasure;
     pub use enblogue_stats::predict::PredictorKind;
     pub use enblogue_stats::shift::ErrorNormalization;
-    pub use enblogue_stream::exec::{run_graph, run_graph_threaded};
-    pub use enblogue_stream::graph::Graph;
-    pub use enblogue_stream::source::{MergeSource, ReplaySource};
     pub use enblogue_telemetry::{EventKind, Telemetry};
     pub use enblogue_types::{
         Document, RankingSnapshot, SourceId, TagId, TagInterner, TagKind, TagPair, Tick, TickSpec,

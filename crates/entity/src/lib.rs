@@ -17,7 +17,8 @@
 //! * [`ontology`] — a typed DAG with transitive subtype filtering (the
 //!   YAGO substitute),
 //! * [`tagger`] — the longest-match tagger combining all three in one
-//!   pass over the text.
+//!   pass over the text; [`EntityTagger::tag_document`] turns a
+//!   document's raw text into interned entity annotations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

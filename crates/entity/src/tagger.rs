@@ -8,6 +8,7 @@
 use crate::gazetteer::{EntityId, Gazetteer, TokenId};
 use crate::ontology::{Ontology, TypeId};
 use crate::tokenize::TokenScanner;
+use enblogue_types::{Document, TagInterner, TagKind};
 use std::sync::Arc;
 
 /// One recognised entity occurrence.
@@ -148,6 +149,22 @@ impl EntityTagger {
         }
     }
 
+    /// Annotates `doc` from its raw text: each mention's canonical name is
+    /// interned into `interner` as a [`TagKind::Entity`] and added to
+    /// `doc.entities`, the annotations are normalised, and the text is
+    /// dropped to bound memory. Entity tags share the id space of regular
+    /// tags, so tag/entity mixtures can emerge as topics (§3). A document
+    /// without text is left untouched. Returns the number of mentions.
+    pub fn tag_document(&self, interner: &TagInterner, doc: &mut Document) -> usize {
+        let Some(text) = doc.text.take() else { return 0 };
+        let mentions = self.tag_text(&text);
+        for mention in &mentions {
+            doc.entities.push(interner.intern(&mention.name, TagKind::Entity));
+        }
+        doc.normalize();
+        mentions.len()
+    }
+
     /// Distinct canonical entities mentioned in `text`, sorted by id.
     pub fn distinct_entities(&self, text: &str) -> Vec<EntityId> {
         let mut ids: Vec<EntityId> = self.tag_text(text).into_iter().map(|m| m.entity).collect();
@@ -283,6 +300,67 @@ mod tests {
         assert!(tagger.tag_text("nothing matches here").is_empty());
         let empty = EntityTagger::new(Arc::new(GazetteerBuilder::default().build()));
         assert!(empty.tag_text("Barack Obama").is_empty());
+    }
+
+    fn text_doc(id: u64, text: &str) -> Document {
+        Document::builder(id, enblogue_types::Timestamp::ZERO).text(text).build()
+    }
+
+    #[test]
+    fn tag_document_fills_entities_and_drops_text() {
+        let (g, ..) = gaz();
+        let interner = TagInterner::new();
+        let mut doc = text_doc(1, "Obama speaks");
+        assert_eq!(EntityTagger::new(g).tag_document(&interner, &mut doc), 1);
+        let id = interner.get("barack obama", TagKind::Entity).expect("canonical name interned");
+        assert_eq!(doc.entities, vec![id]);
+        assert!(doc.text.is_none(), "text dropped after tagging");
+    }
+
+    #[test]
+    fn tag_document_repeat_mentions_resolve_to_the_interned_tag() {
+        let (g, ..) = gaz();
+        let tagger = EntityTagger::new(g);
+        let interner = TagInterner::new();
+        let mut docs = [text_doc(1, "Obama speaks"), text_doc(2, "Barack Obama again, says Obama")];
+        let mentions: usize = docs.iter_mut().map(|d| tagger.tag_document(&interner, d)).sum();
+        assert_eq!(mentions, 3);
+        let tag = interner.get("barack obama", TagKind::Entity).expect("canonical name interned");
+        assert_eq!(interner.len(), 1, "one entity, interned once");
+        for doc in &docs {
+            assert_eq!(doc.entities, vec![tag]);
+        }
+    }
+
+    #[test]
+    fn tag_document_passes_docs_without_text() {
+        let (g, ..) = gaz();
+        let interner = TagInterner::new();
+        let mut doc = Document::builder(1, enblogue_types::Timestamp::ZERO).build();
+        assert_eq!(EntityTagger::new(g).tag_document(&interner, &mut doc), 0);
+        assert!(doc.entities.is_empty());
+        assert!(interner.is_empty());
+    }
+
+    #[test]
+    fn tag_document_tags_batches() {
+        let (g, obama, ..) = gaz();
+        let tagger = EntityTagger::new(g);
+        let interner = TagInterner::new();
+        let mut batch = vec![
+            text_doc(1, "Obama on Eyjafjallajokull: Iceland suffers."),
+            Document::builder(2, enblogue_types::Timestamp::ZERO).build(),
+            text_doc(3, "nothing matches here"),
+        ];
+        for doc in &mut batch {
+            tagger.tag_document(&interner, doc);
+        }
+        assert_eq!(batch[0].entities.len(), 3);
+        assert!(batch[0].entities.windows(2).all(|w| w[0] < w[1]), "annotations normalised");
+        let name = tagger.gazetteer().canonical_name(obama).unwrap();
+        assert!(batch[0].has_entity(interner.get(&name, TagKind::Entity).unwrap()));
+        assert!(batch.iter().all(|d| d.text.is_none()));
+        assert!(batch[1].entities.is_empty() && batch[2].entities.is_empty());
     }
 
     #[test]

@@ -40,8 +40,8 @@
 //! sequence of applications a sequential replay would perform, so rankings
 //! stay byte-identical (pinned by `tests/stage_parity.rs` in the
 //! workspace root). `enblogue-core` implements [`pipeline::IngestSink`]
-//! for its stage pipeline, which is how both the stand-alone engine and
-//! the DAG sink inherit the subsystem.
+//! for its stage pipeline, which is how the stand-alone engine inherits
+//! the subsystem.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,5 +53,5 @@ pub mod reorder;
 
 pub use guard::{GuardSnapshot, GuardVerdict, SourceGuard};
 pub use partition::{partition_docs, PartitionSpec, PartitionedBatch};
-pub use pipeline::{IngestConfig, IngestPipeline, IngestSink, IngestStats};
+pub use pipeline::{default_parallelism, IngestConfig, IngestPipeline, IngestSink, IngestStats};
 pub use reorder::{PushOutcome, ReorderBuffer, ReorderSnapshot};

@@ -28,14 +28,24 @@
 
 use crate::partition::{partition_docs, PartitionSpec, PartitionedBatch};
 use crossbeam::channel::{self, TrySendError};
-use enblogue_stream::exec::default_parallelism;
 use enblogue_telemetry::{duration_ns, EventKind, Telemetry};
 use enblogue_types::{Document, EnBlogueError, Tick};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
+
+/// The machine's available parallelism (≥ 1) — the benched default for
+/// execution knobs like shard counts, shard-parallel close and ingest
+/// worker pools.
+///
+/// Resolved once per process: `std::thread::available_parallelism` reads
+/// cgroup files on every call, and shard fan-outs ask on every close.
+pub fn default_parallelism() -> usize {
+    static PARALLELISM: OnceLock<usize> = OnceLock::new();
+    *PARALLELISM.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// The consumer side of the ingestion pipeline.
 ///
@@ -413,11 +423,14 @@ mod tests {
             .build()
     }
 
-    /// Records the exact operation sequence the pipeline applies.
+    /// Records the exact operation sequence the pipeline applies, and the
+    /// per-shard observation state at every close.
     struct RecordingSink {
         spec: PartitionSpec,
         ops: Vec<String>,
         observations: usize,
+        shard_state: Vec<Vec<(Tick, u64)>>,
+        snapshots: Vec<Vec<Vec<(Tick, u64)>>>,
     }
 
     impl RecordingSink {
@@ -426,6 +439,8 @@ mod tests {
                 spec: PartitionSpec::with_static_shards(TickSpec::hourly(), true, shards),
                 ops: Vec::new(),
                 observations: 0,
+                shard_state: vec![Vec::new(); shards],
+                snapshots: Vec::new(),
             }
         }
     }
@@ -439,12 +454,16 @@ mod tests {
             assert_eq!(partitioned.docs, docs.len());
             assert_eq!(partitioned.shard_count(), self.spec.shards());
             self.observations += partitioned.observations;
+            for (state, bucket) in self.shard_state.iter_mut().zip(partitioned.buckets()) {
+                state.extend_from_slice(bucket);
+            }
             let ids: Vec<String> = docs.iter().map(|d| d.id.to_string()).collect();
             self.ops.push(format!("apply[{}]", ids.join(",")));
         }
 
         fn close_through(&mut self, tick: Tick) {
             self.ops.push(format!("close({})", tick.0));
+            self.snapshots.push(self.shard_state.clone());
         }
     }
 
@@ -492,6 +511,50 @@ mod tests {
                     .run(&mut sink, &docs);
                 assert_eq!(sink.ops, reference, "workers={workers} depth={queue_depth}");
             }
+        }
+    }
+
+    #[test]
+    fn threaded_executor_matches_sync_snapshots() {
+        // The partitioning workers produce the shard buckets; whatever
+        // their count, the sink's per-shard state at every close must
+        // equal the single-worker run's.
+        let docs: Vec<Document> =
+            (0..300).map(|i| doc(i, i / 41, &[(i % 13) as u32, (i % 7) as u32 + 30, 99])).collect();
+        let run = |workers: usize| {
+            let mut sink = RecordingSink::new(4);
+            IngestPipeline::new(IngestConfig { batch_size: 8, queue_depth: 2, workers })
+                .run(&mut sink, &docs);
+            sink.snapshots
+        };
+        let sync = run(1);
+        assert_eq!(sync.len(), 8, "one snapshot per close");
+        assert!(sync.last().unwrap().iter().all(|bucket| !bucket.is_empty()));
+        for workers in [2usize, 4] {
+            assert_eq!(run(workers), sync, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn sharded_plans_match_unsharded_plans() {
+        // The batch/close plan depends only on documents and ticks, never
+        // on the sink's shard count; sharding only splits the same
+        // observations across buckets.
+        let docs: Vec<Document> =
+            (0..120).map(|i| doc(i, i / 25, &[(i % 9) as u32, (i % 4) as u32 + 10])).collect();
+        let config = IngestConfig { batch_size: 16, queue_depth: 2, workers: 2 };
+        let mut unsharded = RecordingSink::new(1);
+        IngestPipeline::new(config.clone()).run(&mut unsharded, &docs);
+        let mut reference = unsharded.shard_state.concat();
+        reference.sort_unstable();
+        for shards in [4usize, 16] {
+            let mut sink = RecordingSink::new(shards);
+            IngestPipeline::new(config.clone()).run(&mut sink, &docs);
+            assert_eq!(sink.ops, unsharded.ops, "shards={shards}");
+            assert_eq!(sink.observations, unsharded.observations, "shards={shards}");
+            let mut observed = sink.shard_state.concat();
+            observed.sort_unstable();
+            assert_eq!(observed, reference, "shards={shards}");
         }
     }
 

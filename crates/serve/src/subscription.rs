@@ -16,8 +16,10 @@ use enblogue_core::query::QueryView;
 /// thousands of subscriptions cost thousands of cheap re-rank loops,
 /// never thousands of engine passes or interner scans.
 ///
+/// This is the one per-user delivery path (the in-process stand-in for
+/// the demo's Ajax Push Engine front-end, §4.2).
 /// [`Subscription::poll`] is edge-triggered (delivers each epoch at
-/// most once, like the push broker's on-change mode);
+/// most once);
 /// [`Subscription::current`] is level-triggered (always answers from
 /// the latest view).
 #[derive(Clone)]

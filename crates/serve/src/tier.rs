@@ -135,8 +135,8 @@ impl QueryHandle {
         handle
     }
 
-    /// [`QueryHandle::attach`] for a bare [`StagePipeline`] (the DAG
-    /// operator and ingest surfaces).
+    /// [`QueryHandle::attach`] for a bare [`StagePipeline`] (the ingest
+    /// surface).
     pub fn attach_pipeline(
         pipeline: &mut StagePipeline,
         interner: TagInterner,

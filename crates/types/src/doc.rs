@@ -42,8 +42,9 @@ impl fmt::Display for SourceId {
 ///
 /// * `terms` — interned content terms for the relative-entropy correlation
 ///   variant of §3(ii),
-/// * `text` — the raw body, consumed (and usually cleared) by the entity
-///   tagging operator which derives `entities` from it.
+/// * `text` — the raw body, consumed (and cleared) by entity tagging
+///   (`EntityTagger::tag_document` in `enblogue-entity`), which derives
+///   `entities` from it.
 ///
 /// `tags` and `entities` are kept **sorted and deduplicated** — documents
 /// are set-annotated, and sorted slices let the pair generator emit each

@@ -6,8 +6,8 @@ use std::fmt;
 ///
 /// The system is a streaming engine: most conditions are handled inline
 /// (e.g. unknown tags are simply not tracked), so the error surface is
-/// deliberately small and covers configuration and wiring mistakes that a
-/// caller must fix.
+/// deliberately small: configuration mistakes a caller must fix, missing
+/// inputs, and checkpoint failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum EnBlogueError {
@@ -18,12 +18,8 @@ pub enum EnBlogueError {
         /// Human-readable description of the violated constraint.
         message: String,
     },
-    /// An operator graph was mis-wired (cycle, dangling edge, missing node).
-    PlanError(String),
     /// A referenced entity/tag/user was not found.
     NotFound(String),
-    /// A stream source failed to produce items.
-    SourceError(String),
     /// A snapshot file is unreadable as a snapshot: truncated, checksum
     /// mismatch, bad magic, or structurally malformed. Restores must
     /// surface this instead of panicking — a half-written checkpoint from
@@ -57,9 +53,7 @@ impl fmt::Display for EnBlogueError {
             EnBlogueError::InvalidConfig { parameter, message } => {
                 write!(f, "invalid configuration for `{parameter}`: {message}")
             }
-            EnBlogueError::PlanError(msg) => write!(f, "operator plan error: {msg}"),
             EnBlogueError::NotFound(what) => write!(f, "not found: {what}"),
-            EnBlogueError::SourceError(msg) => write!(f, "stream source error: {msg}"),
             EnBlogueError::SnapshotCorrupt(msg) => write!(f, "corrupt snapshot: {msg}"),
             EnBlogueError::SnapshotVersionMismatch { found, supported } => {
                 write!(
@@ -86,8 +80,8 @@ mod tests {
         let err = EnBlogueError::invalid_config("window_ticks", "must be >= 2");
         assert_eq!(err.to_string(), "invalid configuration for `window_ticks`: must be >= 2");
 
-        let err = EnBlogueError::PlanError("cycle detected".into());
-        assert!(err.to_string().contains("cycle detected"));
+        let err = EnBlogueError::NotFound("checkpoint".into());
+        assert!(err.to_string().contains("checkpoint"));
     }
 
     #[test]

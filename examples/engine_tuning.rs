@@ -1,10 +1,10 @@
-//! Comparing parameter settings in real time via multi-plan sharing.
+//! Comparing parameter settings over one stream.
 //!
 //! §4.1: the engine "allows us to compare emergent topic rankings obtained
-//! from different parameter settings in real-time" because parallel query
-//! plans share their common prefix. This example runs four differently
-//! configured engines over one stream in a single graph and prints how
-//! their rankings (and the work saved by sharing) differ.
+//! from different parameter settings in real-time". The shared prefix is
+//! the prepared document stream: this example feeds one document list to
+//! four differently configured engines and prints how their rankings
+//! differ.
 //!
 //! Run with: `cargo run --release --example engine_tuning`
 
@@ -44,22 +44,13 @@ fn main() {
         ),
     ];
 
-    let mut builder =
-        PipelineBuilder::new(archive.docs.clone(), TickSpec::daily(), archive.interner.clone());
-    for (name, config) in &variants {
-        builder = builder.with_engine(*name, config.clone());
-    }
-    let (stats, handles) = builder.run().expect("pipeline runs");
+    let all: Vec<Vec<RankingSnapshot>> = variants
+        .iter()
+        .map(|(_, config)| EnBlogueEngine::new(config.clone()).run_replay(&archive.docs))
+        .collect();
 
-    println!(
-        "One source drove {} plans; total operator events processed: {}\n",
-        variants.len(),
-        stats.total_processed()
-    );
-
-    // Show each plan's final top-3 side by side.
-    for ((name, _), handle) in variants.iter().zip(&handles) {
-        let snaps = handle.lock().unwrap();
+    // Show each setting's final top-3 side by side.
+    for ((name, _), snaps) in variants.iter().zip(&all) {
         let last = snaps.last().expect("ticks closed");
         print!("{name:<16}");
         for &(pair, score) in last.ranked.iter().take(3) {
@@ -75,8 +66,6 @@ fn main() {
 
     // Agreement matrix at k=5 across variants, averaged over all ticks.
     println!("\nmean top-5 agreement (jaccard) across all ticks:");
-    let all: Vec<Vec<RankingSnapshot>> =
-        handles.iter().map(|h| h.lock().unwrap().clone()).collect();
     print!("{:<16}", "");
     for (name, _) in &variants {
         print!("{name:>16}");

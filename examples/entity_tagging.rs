@@ -3,13 +3,12 @@
 //!
 //! Demonstrates §3's entity pipeline: a ≤4-term sliding window over the
 //! text matched against article titles, redirects mapping aliases to one
-//! unique name, and a YAGO-style type filter — then a full pipeline where
-//! an *entity* pairs with a regular tag to form the emergent topic.
+//! unique name, and a YAGO-style type filter — then a replay where an
+//! *entity* pairs with a regular tag to form the emergent topic.
 //!
 //! Run with: `cargo run --release --example entity_tagging`
 
 use enblogue::prelude::*;
-use enblogue_core::ops::{EngineOp, EntityTagOp};
 use enblogue_datagen::entities::{EntityClass, EntityUniverse};
 use std::sync::Arc;
 
@@ -24,7 +23,7 @@ fn main() {
     );
 
     // 1. Plain tagging with redirect resolution.
-    let tagger = Arc::new(EntityTagger::new(Arc::clone(&universe.gazetteer)));
+    let tagger = EntityTagger::new(Arc::clone(&universe.gazetteer));
     let person = universe
         .of_class(EntityClass::Person)
         .find(|e| !e.aliases.is_empty())
@@ -77,6 +76,10 @@ fn main() {
             docs.push(Document::builder(id, ts).tag(tag).text(body).build());
         }
     }
+    // Tag every document once: mentions become entity annotations, the
+    // raw text is dropped.
+    let mentions: usize = docs.iter_mut().map(|doc| tagger.tag_document(&interner, doc)).sum();
+    println!("\ntagged {} documents: {mentions} entity mentions", docs.len());
 
     let engine_config = EnBlogueConfig::builder()
         .tick_spec(TickSpec::hourly())
@@ -86,14 +89,7 @@ fn main() {
         .top_k(5)
         .build()
         .expect("valid config");
-    let mut graph = Graph::new(ReplaySource::new(docs, TickSpec::hourly()));
-    let tag_node = graph.attach(None, EntityTagOp::new(Arc::clone(&tagger), interner.clone()));
-    let engine_op = EngineOp::new("mixtures", EnBlogueEngine::new(engine_config));
-    let handle = engine_op.handle();
-    graph.attach(Some(tag_node), engine_op);
-    run_graph(&mut graph).expect("pipeline runs");
-
-    let snaps = handle.lock().unwrap();
+    let snaps = EnBlogueEngine::new(engine_config).run_replay(&docs);
     let last = snaps.last().expect("stream closed at least one tick");
     println!("\nEmergent topics after the hour-18 shift (tag/entity mixtures):");
     for (rank, &(pair, score)) in last.ranked.iter().enumerate() {

@@ -3,8 +3,9 @@
 //! Simulates the demo's live-tweet scenario: background hashtag chatter
 //! plus planted events, including the paper's attempt to push a topic
 //! about SIGMOD and Athens into the top ranks. A time-lapse view shows the
-//! pair's rank trajectory as the stunt unfolds, and the ranking is pushed
-//! to a subscriber through the broker (the APE front-end substitute).
+//! pair's rank trajectory as the stunt unfolds, and a subscriber polls
+//! its personalised top-5 after every close (the APE front-end
+//! substitute).
 //!
 //! Run with: `cargo run --release --example live_stream`
 
@@ -45,16 +46,28 @@ fn main() {
         .build()
         .expect("valid config");
 
-    // Subscribe a client before the stream runs: updates arrive by push.
-    let broker = PushBroker::new(stream.interner.clone());
-    let inbox = broker.subscribe(PushSubscription::new(UserProfile::new("attendee"), 5));
+    // Subscribe a client before the stream runs; it polls after every
+    // close, and each new epoch is one delivery.
+    let tick_spec = engine_config.tick_spec;
+    let mut engine = EnBlogueEngine::new(engine_config);
+    let handle = QueryHandle::attach(&mut engine, stream.interner.clone(), ServeConfig::default());
+    let mut inbox = handle.subscribe(UserProfile::new("attendee")).with_top_k(5);
 
-    let (_, handles) =
-        PipelineBuilder::new(stream.docs.clone(), engine_config.tick_spec, stream.interner.clone())
-            .with_engine_and_broker("live", engine_config, broker.clone())
-            .run()
-            .expect("pipeline runs");
-    let snapshots = handles[0].lock().unwrap().clone();
+    let mut snapshots = Vec::new();
+    let (mut deliveries, mut saw_stunt) = (0, false);
+    let mut on_close = |snapshot: RankingSnapshot| {
+        if let Some((_, ranking)) = inbox.poll() {
+            deliveries += 1;
+            saw_stunt |= ranking.ranked.iter().any(|&(p, _)| p == stunt_pair);
+        }
+        snapshots.push(snapshot);
+    };
+    // Arrivals one at a time: each closes the ticks it leaves behind.
+    for doc in &stream.docs {
+        engine.offer_doc(doc, &mut on_close);
+    }
+    let last = stream.docs.last().expect("non-empty stream");
+    on_close(engine.close_tick(tick_spec.tick_of(last.timestamp)));
 
     // Rank trajectory of the stunt pair (time lapse, one row per 2 hours).
     println!("time lapse — rank of [#sigmod + #athens] (top-10, '-' = unranked):");
@@ -80,18 +93,10 @@ fn main() {
         None => println!("\nThe stunt topic never ranked — increase its rate or lower k."),
     }
 
-    // What the subscribed client actually received, push-based.
-    let mut updates = 0;
-    let mut saw_stunt = false;
-    while let Ok(update) = inbox.try_recv() {
-        updates += 1;
-        if update.ranking.ranked.iter().any(|&(p, _)| p == stunt_pair) {
-            saw_stunt = true;
-        }
-    }
-    let (published, delivered) = broker.stats();
+    // What the subscribed client actually received.
     println!(
-        "\nPush broker: {published} snapshots published, {delivered} updates delivered; \
-         this client received {updates} (stunt visible: {saw_stunt})"
+        "\nServing tier: {} views published; this client received {deliveries} deliveries \
+         (stunt visible: {saw_stunt})",
+        handle.epoch()
     );
 }

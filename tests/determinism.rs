@@ -78,15 +78,10 @@ fn merged_multi_feed_stream_is_deterministic() {
         RssConfig { seed: 9, feeds: 3, hours: 8, items_per_hour: 8, n_tags: 60, theme_bias: 0.7 };
     let run = || {
         let (feeds, interner, _) = generate_feeds(&rss_cfg);
-        let sources: Vec<Box<dyn enblogue::stream::Source>> = feeds
-            .into_iter()
-            .map(|f| {
-                Box::new(ReplaySource::new(f.docs, TickSpec::hourly()))
-                    as Box<dyn enblogue::stream::Source>
-            })
-            .collect();
-        let merged = MergeSource::new(sources, TickSpec::hourly());
-        let mut graph = Graph::new(merged);
+        // One stream from several feeds: concatenate in feed order, then a
+        // stable sort by timestamp, so equal timestamps keep feed order.
+        let mut merged: Vec<Document> = feeds.into_iter().flat_map(|f| f.docs).collect();
+        merged.sort_by_key(|d| d.timestamp);
         let config = EnBlogueConfig::builder()
             .window_ticks(4)
             .seed_count(10)
@@ -94,11 +89,7 @@ fn merged_multi_feed_stream_is_deterministic() {
             .top_k(5)
             .build()
             .unwrap();
-        let op = enblogue::core::ops::EngineOp::new("e1", EnBlogueEngine::new(config));
-        let handle = op.handle();
-        graph.attach(None, op);
-        run_graph(&mut graph).unwrap();
-        let out = handle.lock().unwrap().clone();
+        let out = EnBlogueEngine::new(config).run_replay(&merged);
         (out, interner.len())
     };
     let (a, len_a) = run();

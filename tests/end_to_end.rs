@@ -93,37 +93,18 @@ fn tweet_stream_stunt_reaches_top_k() {
 }
 
 #[test]
-fn pipeline_on_stream_graph_matches_standalone_engine() {
-    let archive = NytArchive::generate(&NytConfig { days: 20, docs_per_day: 60, ..nyt_config() });
-    // Standalone.
-    let mut engine = EnBlogueEngine::new(daily_engine_config());
-    let standalone = engine.run_replay(&archive.docs);
-    // Through the operator DAG.
-    let (_, handles) =
-        PipelineBuilder::new(archive.docs.clone(), TickSpec::daily(), archive.interner.clone())
-            .with_engine("e1", daily_engine_config())
-            .run()
-            .unwrap();
-    let piped = handles[0].lock().unwrap().clone();
-    assert_eq!(standalone, piped, "both execution paths must agree exactly");
-}
-
-#[test]
 fn threaded_executor_agrees_with_sync() {
+    // The threaded executor is the parallel ingestion pipeline: a bounded
+    // queue feeding partition workers, re-sequenced before apply. It must
+    // reproduce the sequential replay exactly.
     let archive = NytArchive::generate(&NytConfig { days: 15, docs_per_day: 40, ..nyt_config() });
-    let build = || {
-        PipelineBuilder::new(archive.docs.clone(), TickSpec::daily(), archive.interner.clone())
-            .with_engine("e1", daily_engine_config())
-            .build()
-            .unwrap()
-    };
-    let (mut sync_graph, sync_handles) = build();
-    run_graph(&mut sync_graph).unwrap();
-    let (threaded_graph, threaded_handles) = build();
-    run_graph_threaded(threaded_graph, 256).unwrap();
-    let a = sync_handles[0].lock().unwrap().clone();
-    let b = threaded_handles[0].lock().unwrap().clone();
-    assert_eq!(a, b, "executors must produce identical rankings");
+    let sync = EnBlogueEngine::new(daily_engine_config()).run_replay(&archive.docs);
+    let ingest = IngestConfig { batch_size: 32, queue_depth: 4, workers: 4 };
+    let (threaded, stats) =
+        EnBlogueEngine::new(daily_engine_config()).run_replay_ingest(&archive.docs, &ingest);
+    assert_eq!(stats.workers, 4);
+    assert_eq!(sync.len(), 15);
+    assert_eq!(sync, threaded, "executors must produce identical rankings");
 }
 
 #[test]

@@ -1,9 +1,11 @@
-//! The push path end-to-end: engine → broker → subscribed clients, with
-//! personalised deliveries (§4.2's APE front-end, in-process).
+//! The delivery path end-to-end: engine → publish stage → subscribed
+//! clients, with personalised deliveries (§4.2's APE front-end,
+//! in-process). Every client reads through one `QueryHandle`; a
+//! `Subscription` is edge-triggered (`poll` delivers each published epoch
+//! at most once) and level-triggered (`current` answers every read).
 
 use enblogue::prelude::*;
 use enblogue_datagen::nyt::{NytArchive, NytConfig};
-use std::sync::mpsc::Receiver;
 
 fn archive() -> NytArchive {
     NytArchive::generate(&NytConfig {
@@ -30,104 +32,121 @@ fn engine_config() -> EnBlogueConfig {
         .unwrap()
 }
 
-fn drain(rx: &Receiver<RankingUpdate>) -> Vec<RankingUpdate> {
-    let mut updates = Vec::new();
-    while let Ok(u) = rx.try_recv() {
-        updates.push(u);
+/// Feeds the archive one arrival at a time (each arrival closes the ticks
+/// it leaves behind), then closes the last tick; `on_close` sees every
+/// snapshot right after its view is published.
+fn replay(
+    engine: &mut EnBlogueEngine,
+    docs: &[Document],
+    mut on_close: impl FnMut(RankingSnapshot),
+) {
+    for doc in docs {
+        engine.offer_doc(doc, &mut on_close);
     }
-    updates
+    let last = docs.last().expect("non-empty archive");
+    let last_tick = engine.config().tick_spec.tick_of(last.timestamp);
+    on_close(engine.close_tick(last_tick));
 }
 
 #[test]
 fn subscribers_receive_pushed_rankings_through_the_pipeline() {
     let archive = archive();
-    let broker = PushBroker::new(archive.interner.clone());
-    let rx = broker.subscribe(PushSubscription::new(UserProfile::new("visitor"), 10));
+    let mut engine = EnBlogueEngine::new(engine_config());
+    let handle = QueryHandle::attach(&mut engine, archive.interner.clone(), ServeConfig::default());
+    let mut inbox = handle.subscribe(UserProfile::new("visitor")).with_top_k(10);
 
-    let (_, handles) =
-        PipelineBuilder::new(archive.docs.clone(), TickSpec::daily(), archive.interner.clone())
-            .with_engine_and_broker("e1", engine_config(), broker.clone())
-            .run()
-            .unwrap();
+    let mut snapshots = Vec::new();
+    let mut updates = Vec::new();
+    replay(&mut engine, &archive.docs, |snapshot| {
+        if let Some((epoch, ranking)) = inbox.poll() {
+            updates.push((epoch, snapshot.tick, ranking));
+        }
+        snapshots.push(snapshot);
+    });
 
-    let updates = drain(&rx);
-    assert!(!updates.is_empty(), "the events must trigger pushes");
-    // Every update corresponds to a published snapshot and carries its tick.
-    let snaps = handles[0].lock().unwrap();
-    assert_eq!(snaps.len(), 40);
-    for update in &updates {
-        assert!(snaps.iter().any(|s| s.tick == update.snapshot.tick));
+    assert!(!updates.is_empty(), "the events must trigger deliveries");
+    assert_eq!(snapshots.len(), 40);
+    // Every delivery corresponds to a published snapshot and carries its
+    // top-k members.
+    for (_, tick, ranking) in &updates {
+        let snapshot = snapshots.iter().find(|s| s.tick == *tick).expect("delivered tick closed");
+        assert!(ranking.ranked.len() <= 10);
+        for &(pair, _) in &ranking.ranked {
+            assert!(snapshot.rank_of(pair).is_some(), "delivered pairs come from the snapshot");
+        }
     }
-    // Updates arrive in tick order.
+    // Deliveries arrive in tick and epoch order.
     for w in updates.windows(2) {
-        assert!(w[0].snapshot.tick < w[1].snapshot.tick);
+        assert!(w[0].1 < w[1].1);
+        assert!(w[0].0 < w[1].0);
     }
-    let (published, delivered) = broker.stats();
-    assert_eq!(published, 40, "every tick close publishes once");
-    assert!(delivered >= updates.len() as u64);
+    assert_eq!(handle.epoch(), 40, "every tick close publishes once");
+    assert_eq!(updates.len(), 40, "a client polling after every close receives every publish");
+    assert_eq!(inbox.last_epoch(), 40);
 }
 
 #[test]
 fn change_only_delivery_is_quieter_than_every_update() {
     let archive = archive();
 
-    // A strict profile watching one event's category: its visible list is
-    // empty most of the time and stable during the event, so change-only
-    // delivery has something to skip. (An unfiltered top-10 over noisy
-    // background scores legitimately changes almost every tick.)
+    // A strict profile watching one event's category, read twice per
+    // close — a client that polls faster than views are published.
     let watched_category = archive.script.events()[0].tag_a;
-    let quiet_profile = UserProfile::new("quiet").with_category(watched_category).filter_only();
-    let chatty_profile = UserProfile::new("chatty").with_category(watched_category).filter_only();
+    let profile = UserProfile::new("watcher").with_category(watched_category).filter_only();
 
-    let broker = PushBroker::new(archive.interner.clone());
-    let on_change = broker.subscribe(PushSubscription::new(quiet_profile, 3));
-    let always = broker.subscribe(PushSubscription::new(chatty_profile, 3).every_update());
+    let mut engine = EnBlogueEngine::new(engine_config());
+    let handle = QueryHandle::attach(&mut engine, archive.interner.clone(), ServeConfig::default());
+    let mut on_change = handle.subscribe(profile.clone()).with_top_k(3);
+    let always = handle.subscribe(profile).with_top_k(3);
 
-    PipelineBuilder::new(archive.docs.clone(), TickSpec::daily(), archive.interner.clone())
-        .with_engine_and_broker("e1", engine_config(), broker.clone())
-        .run()
-        .unwrap();
-
-    let quiet = drain(&on_change).len();
-    let chatty = drain(&always).len();
-    assert_eq!(chatty, 40, "every-update mode gets one push per tick");
-    assert!(quiet < chatty, "change-only mode must skip unchanged rankings: {quiet} vs {chatty}");
-    assert!(quiet > 0);
+    let (mut quiet, mut chatty) = (0usize, 0usize);
+    replay(&mut engine, &archive.docs, |_| {
+        for _ in 0..2 {
+            // Edge-triggered: only a newly published epoch is delivered.
+            if let Some((_, ranking)) = on_change.poll() {
+                quiet += 1;
+                assert_eq!(Some(ranking), always.current(), "both modes read the same view");
+            }
+            // Level-triggered: every read answers.
+            if always.current().is_some() {
+                chatty += 1;
+            }
+        }
+    });
+    assert_eq!(chatty, 2 * 40, "every-update reads answer on every read");
+    assert_eq!(quiet, 40, "change-only delivery gets one delivery per publish");
+    assert!(quiet < chatty, "change-only delivery must skip unchanged epochs: {quiet} vs {chatty}");
 }
 
 #[test]
 fn personalised_subscribers_get_their_own_view() {
+    // Two profiles preferring different event categories share one engine
+    // pass and one publish, yet at some tick their delivered top lists
+    // differ.
     let archive = archive();
-    // Identify two event categories to build opposing profiles.
     let events = archive.script.events();
     let cat_a = events[0].tag_a;
     let cat_b = events.iter().map(|e| e.tag_a).find(|&c| c != cat_a).unwrap_or(events[0].tag_b);
 
-    let broker = PushBroker::new(archive.interner.clone());
-    let rx_a = broker.subscribe(PushSubscription::new(
-        UserProfile::new("a").with_category(cat_a).with_alpha(5.0),
-        5,
-    ));
-    let rx_b = broker.subscribe(PushSubscription::new(
-        UserProfile::new("b").with_category(cat_b).with_alpha(5.0),
-        5,
-    ));
+    let mut engine = EnBlogueEngine::new(engine_config());
+    let handle = QueryHandle::attach(&mut engine, archive.interner.clone(), ServeConfig::default());
+    let subscribe = |name: &str, category: TagId| {
+        handle
+            .subscribe(UserProfile::new(name).with_category(category).with_alpha(5.0))
+            .with_top_k(5)
+    };
+    let (mut a, mut b) = (subscribe("a", cat_a), subscribe("b", cat_b));
 
-    PipelineBuilder::new(archive.docs.clone(), TickSpec::daily(), archive.interner.clone())
-        .with_engine_and_broker("e1", engine_config(), broker)
-        .run()
-        .unwrap();
-
-    let a_updates = drain(&rx_a);
-    let b_updates = drain(&rx_b);
-    assert!(!a_updates.is_empty() && !b_updates.is_empty());
-    // At some point the two users' visible toplists differ.
-    let differs = a_updates.iter().any(|ua| {
-        b_updates.iter().any(|ub| {
-            ua.snapshot.tick == ub.snapshot.tick
-                && ua.ranking.ranked.iter().map(|&(p, _)| p).collect::<Vec<_>>()
-                    != ub.ranking.ranked.iter().map(|&(p, _)| p).collect::<Vec<_>>()
-        })
+    let mut deliveries = 0usize;
+    let mut differs = false;
+    replay(&mut engine, &archive.docs, |_| {
+        let (epoch_a, ranking_a) = a.poll().expect("every close delivers");
+        let (epoch_b, ranking_b) = b.poll().expect("every close delivers");
+        assert_eq!(epoch_a, epoch_b, "both deliveries come from one publish");
+        deliveries += 1;
+        differs |=
+            ranking_a.ranked.iter().map(|&(p, _)| p).ne(ranking_b.ranked.iter().map(|&(p, _)| p));
     });
+    assert!(deliveries > 0);
     assert!(differs, "personalised subscribers must see different rankings at some tick");
 }

@@ -146,62 +146,53 @@ fn personalization_with_unknown_tags_is_neutral() {
 #[test]
 fn broker_survives_subscriber_churn_mid_stream() {
     let interner = TagInterner::new();
-    let broker = PushBroker::new(interner.clone());
-    let a = TagPair::new(TagId(1), TagId(2));
-    // Subscribe, receive, drop, re-subscribe, repeat.
-    for round in 0..5u64 {
-        let rx = broker.subscribe(PushSubscription::new(UserProfile::new(format!("u{round}")), 5));
-        broker.publish(&RankingSnapshot {
-            tick: Tick(round),
-            time: Timestamp::from_hours(round),
-            ranked: vec![(a, 0.5 + round as f64 * 0.01)],
-        });
-        assert!(rx.try_recv().is_ok());
-        drop(rx);
-    }
-    // One publish after all receivers dropped cleans the registry.
-    broker.publish(&RankingSnapshot {
-        tick: Tick(99),
-        time: Timestamp::from_hours(99),
-        ranked: vec![],
-    });
-    assert_eq!(broker.client_count(), 0);
-}
+    let a = interner.intern("a", TagKind::Hashtag);
+    let b = interner.intern("b", TagKind::Hashtag);
+    let mut engine = EnBlogueEngine::new(small_config());
+    let handle = QueryHandle::attach(&mut engine, interner, ServeConfig::default());
+    let mut steady = handle.subscribe(UserProfile::new("steady"));
 
-#[test]
-fn graph_rejects_malformed_plans() {
-    let mut g = Graph::new(ReplaySource::new(vec![], TickSpec::hourly()));
-    let a = g.attach(None, enblogue::stream::ops::PassThrough::new("a"));
-    let b = g.attach(Some(a), enblogue::stream::ops::PassThrough::new("b"));
-    assert!(g.connect(b, a).is_err(), "cycle must be rejected");
-    assert!(g.connect(a, a).is_err(), "self-loop must be rejected");
-    // The graph is still usable afterwards.
-    assert!(enblogue::stream::exec::run_graph(&mut g).is_ok());
+    // Subscribe, receive, drop, re-subscribe, repeat — one close per round.
+    for round in 0..5u64 {
+        let mut client = handle.subscribe(UserProfile::new(format!("u{round}"))).with_top_k(5);
+        engine.process_doc(&doc(round + 1, round, &[a.0, b.0]));
+        engine.close_tick(Tick(round));
+        let (epoch, _) = client.poll().expect("a fresh subscriber receives the new view");
+        assert_eq!(epoch, round + 1);
+        assert!(client.poll().is_none());
+        assert_eq!(steady.poll().map(|(e, _)| e), Some(epoch), "churn never starves others");
+        drop(client);
+    }
+    // Publishing after every churned client is gone still works, and a
+    // late subscriber picks up the latest view immediately.
+    engine.close_tick(Tick(5));
+    assert_eq!(handle.epoch(), 6);
+    assert_eq!(steady.poll().map(|(e, _)| e), Some(6));
+    let mut late = handle.subscribe(UserProfile::new("late"));
+    assert_eq!(late.poll().map(|(e, _)| e), Some(6));
 }
 
 #[test]
 fn merge_source_with_wildly_skewed_feeds() {
-    // One feed with 1000 docs, one with 1: the merge must interleave by
-    // time and terminate.
-    let mut big: Vec<Document> = (0..1000).map(|i| doc(i, i / 100, &[1])).collect();
-    big.sort_by_key(|d| d.timestamp);
+    // One feed with 1000 docs, one with 1: merging them into one stream
+    // (concatenate in feed order, stable sort by timestamp) must
+    // interleave by time, and the replay must consume every document.
+    let big: Vec<Document> = (0..1000).map(|i| doc(i, i / 100, &[1])).collect();
     let small = vec![doc(5000, 5, &[2])];
-    let merged = MergeSource::new(
-        vec![
-            Box::new(ReplaySource::new(big, TickSpec::hourly()))
-                as Box<dyn enblogue::stream::Source>,
-            Box::new(ReplaySource::new(small, TickSpec::hourly())),
-        ],
-        TickSpec::hourly(),
-    );
-    let mut g = Graph::new(merged);
-    let sink = enblogue::stream::ops::CountingOp::new("c");
-    let counts = sink.handle();
-    g.attach(None, sink);
-    enblogue::stream::exec::run_graph(&mut g).unwrap();
-    let c = counts.lock().unwrap();
-    assert_eq!(c.docs, 1001);
-    assert_eq!(c.flushes, 1);
+    let mut merged: Vec<Document> = big.into_iter().chain(small).collect();
+    merged.sort_by_key(|d| d.timestamp);
+    assert_eq!(merged.iter().position(|d| d.id == 5000), Some(600), "ties keep feed order");
+
+    let mut engine = EnBlogueEngine::new(small_config());
+    let snapshots = engine.run_replay(&merged);
+    assert_eq!(snapshots.len(), 10, "one close per hour");
+    assert_eq!(engine.metrics().docs_processed, 1001);
+
+    let mut parallel = EnBlogueEngine::new(small_config());
+    let ingest = IngestConfig { batch_size: 64, queue_depth: 2, workers: 2 };
+    let (from_ingest, stats) = parallel.run_replay_ingest(&merged, &ingest);
+    assert_eq!(from_ingest, snapshots);
+    assert_eq!(stats.docs, 1001);
 }
 
 #[test]

@@ -1,9 +1,9 @@
-//! The unification contract of the shared stage pipeline: the stand-alone
-//! engine, the synchronous DAG executor and the threaded DAG executor are
-//! all thin adapters over the same `TickStage` implementation, so on one
-//! replay they must produce **identical** snapshot sequences — and the
-//! sharded pair registry must make shard count and shard-parallel close
-//! invisible in every ranking.
+//! The unification contract of the shared stage pipeline: per-document
+//! feeding, per-tick batch feeding and the parallel ingestion pipeline all
+//! drive the same `TickStage` implementation, so on one replay they must
+//! produce **identical** snapshot sequences — and the sharded pair
+//! registry must make shard count and shard-parallel close invisible in
+//! every ranking.
 
 use enblogue::prelude::*;
 use enblogue_datagen::nyt::{NytArchive, NytConfig};
@@ -39,34 +39,32 @@ fn engine_snapshots(config: EnBlogueConfig, docs: &[Document]) -> Vec<RankingSna
     EnBlogueEngine::new(config).run_replay(docs)
 }
 
-/// One snapshot sequence via the DAG (`PipelineBuilder` → `EngineOp` sink).
-fn dag_snapshots(
-    config: EnBlogueConfig,
-    archive: &NytArchive,
-    threaded: bool,
-) -> Vec<RankingSnapshot> {
-    let builder =
-        PipelineBuilder::new(archive.docs.clone(), TickSpec::daily(), archive.interner.clone())
-            .with_engine("parity", config);
-    let (_, handles) = if threaded { builder.run_threaded(256) } else { builder.run() }.unwrap();
-    let out = handles[0].lock().unwrap().clone();
-    out
+/// One snapshot sequence fed a whole tick at a time: each tick's slice
+/// through the batch fast path (`process_docs`), then `close_through` that
+/// tick, which also closes any gap ticks before it.
+fn tick_batch_snapshots(config: EnBlogueConfig, docs: &[Document]) -> Vec<RankingSnapshot> {
+    let spec = config.tick_spec;
+    let mut pipeline = StagePipeline::new(config);
+    let mut snapshots = Vec::new();
+    for slice in docs.chunk_by(|a, b| spec.tick_of(a.timestamp) == spec.tick_of(b.timestamp)) {
+        pipeline.process_docs(slice);
+        pipeline.close_through(spec.tick_of(slice[0].timestamp), |s| snapshots.push(s));
+    }
+    snapshots
 }
 
 #[test]
-fn engine_and_dag_agree_on_an_nyt_replay() {
+fn per_doc_and_per_tick_feeding_agree_on_an_nyt_replay() {
     let archive = archive();
     let from_engine = engine_snapshots(config(1, false), &archive.docs);
-    let from_sync_dag = dag_snapshots(config(1, false), &archive, false);
-    let from_threaded_dag = dag_snapshots(config(1, false), &archive, true);
+    let from_tick_batches = tick_batch_snapshots(config(1, false), &archive.docs);
 
     assert!(!from_engine.is_empty(), "the replay must close ticks");
     assert!(
         from_engine.iter().any(|s| !s.ranked.is_empty()),
         "the planted events must produce rankings"
     );
-    assert_eq!(from_engine, from_sync_dag, "engine vs synchronous DAG");
-    assert_eq!(from_engine, from_threaded_dag, "engine vs threaded DAG");
+    assert_eq!(from_engine, from_tick_batches, "per-document vs per-tick feeding");
 }
 
 #[test]
@@ -82,21 +80,26 @@ fn shard_count_is_invisible_in_rankings() {
 }
 
 #[test]
-fn sharded_dag_matches_unsharded_engine() {
-    // The full cross product of the two axes: sharded state under the DAG
-    // executors against the classic single-map engine.
+fn sharded_tick_batches_match_unsharded_engine() {
+    // The full cross product of the two axes: sharded state fed a tick at
+    // a time against the classic single-map engine fed per document.
     let archive = archive();
     let baseline = engine_snapshots(config(1, false), &archive.docs);
-    assert_eq!(dag_snapshots(config(16, true), &archive, false), baseline, "sync DAG, 16 shards");
-    assert_eq!(dag_snapshots(config(4, true), &archive, true), baseline, "threaded DAG, 4 shards");
+    for (shards, parallel) in [(16usize, true), (4, true)] {
+        assert_eq!(
+            tick_batch_snapshots(config(shards, parallel), &archive.docs),
+            baseline,
+            "tick batches, {shards} shards, parallel={parallel}"
+        );
+    }
 }
 
 #[test]
 fn ingestion_mode_is_invisible_in_rankings() {
     // The ingestion-parity contract of `enblogue-ingest`: for one NYT
     // replay, rankings are byte-identical across (a) sequential
-    // per-document feeding, (b) `Event::DocBatch` tick slices through the
-    // DAG, and (c) the shard-parallel `IngestPipeline`, for several
+    // per-document feeding, (b) whole tick slices through the batch fast
+    // path, and (c) the shard-parallel `IngestPipeline`, for several
     // (batch size × worker count) combinations and shard counts.
     let archive = archive();
 
@@ -105,9 +108,9 @@ fn ingestion_mode_is_invisible_in_rankings() {
     assert!(!baseline.is_empty());
     assert!(baseline.iter().any(|s| !s.ranked.is_empty()));
 
-    // (b) DocBatch DAG feeding: the replay source emits whole tick
-    // slices, `EngineOp` takes the partitioned batch fast path.
-    assert_eq!(dag_snapshots(config(4, true), &archive, false), baseline, "DocBatch DAG");
+    // (b) Tick-slice feeding: `process_docs` takes the partitioned batch
+    // fast path, one slice per tick.
+    assert_eq!(tick_batch_snapshots(config(4, true), &archive.docs), baseline, "tick slices");
 
     // (c) The parallel ingestion pipeline across the knob grid.
     for (batch_size, workers) in [(1usize, 1usize), (64, 2), (64, 8), (512, 4), (97, 3)] {
