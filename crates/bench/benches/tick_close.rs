@@ -1,10 +1,11 @@
 //! Tick-close latency vs shard count (the shard-parallel close ablation).
 //!
 //! A warm engine (populated window, hundreds of tracked pairs) closes its
-//! newest tick under shard counts 1/4/16, serial and shard-parallel. The
-//! single-shard serial row is the pre-sharding baseline; rankings are
-//! identical in every configuration (pinned by `tests/stage_parity.rs`),
-//! so the rows differ only in wall time.
+//! newest tick under shard counts 1/4/16. The single-shard row is the
+//! pre-sharding baseline; with more stores the close fans out once the
+//! registry reaches `SERIAL_CLOSE_MAX_PAIRS`. Rankings are identical in
+//! every configuration (pinned by `tests/stage_parity.rs`), so the rows
+//! differ only in wall time.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use enblogue::datagen::twitter::{TweetConfig, TweetStream};
@@ -24,7 +25,7 @@ fn tweet_docs() -> Vec<Document> {
     .docs
 }
 
-fn config(shards: usize, parallel: bool) -> EnBlogueConfig {
+fn config(shards: usize) -> EnBlogueConfig {
     EnBlogueConfig::builder()
         .tick_spec(TickSpec::minutely())
         .window_ticks(30)
@@ -32,14 +33,13 @@ fn config(shards: usize, parallel: bool) -> EnBlogueConfig {
         .min_seed_count(3)
         .top_k(10)
         .shards(shards)
-        .parallel_close(parallel)
         .build()
         .unwrap()
 }
 
 /// A warm engine plus the tick its open window is waiting to close.
-fn warm_engine(shards: usize, parallel: bool, docs: &[Document]) -> (EnBlogueEngine, Tick) {
-    let mut engine = EnBlogueEngine::new(config(shards, parallel));
+fn warm_engine(shards: usize, docs: &[Document]) -> (EnBlogueEngine, Tick) {
+    let mut engine = EnBlogueEngine::new(config(shards));
     let split = docs.len() - 700;
     engine.run_replay(&docs[..split]);
     engine.process_docs(&docs[split..]);
@@ -52,20 +52,13 @@ fn bench_close_by_shards(c: &mut Criterion) {
     let mut group = c.benchmark_group("tick_close_shards");
     group.sample_size(15);
     for shards in [1usize, 4, 16] {
-        for parallel in [false, true] {
-            let label = if parallel { "parallel" } else { "serial" };
-            group.bench_with_input(
-                BenchmarkId::new(label, shards),
-                &(shards, parallel),
-                |b, &(shards, parallel)| {
-                    b.iter_batched(
-                        || warm_engine(shards, parallel, &docs),
-                        |(mut engine, tick)| black_box(engine.close_tick(tick)),
-                        BatchSize::LargeInput,
-                    );
-                },
+        group.bench_with_input(BenchmarkId::new("close", shards), &shards, |b, &shards| {
+            b.iter_batched(
+                || warm_engine(shards, &docs),
+                |(mut engine, tick)| black_box(engine.close_tick(tick)),
+                BatchSize::LargeInput,
             );
-        }
+        });
     }
     group.finish();
 }

@@ -24,8 +24,8 @@
 //! reported; the rows differ only in where state lives, the order pairs
 //! are visited in, and how the loops are tiled. The sweep covers
 //! live-pair count (1k / 33k / 133k) × shard count, multi-store rows
-//! request a parallel close (the registry demotes small populations below
-//! `SERIAL_CLOSE_MAX_PAIRS` to a serial walk), and `BENCH_close.json`
+//! fan the close out (the registry keeps populations below
+//! `SERIAL_CLOSE_MAX_PAIRS` on a serial walk), and `BENCH_close.json`
 //! records pairs/sec closed per row plus two ratio families: layout
 //! (best slab over legacy) and scoring (best batched over best scalar).
 //!
@@ -242,9 +242,9 @@ struct Row {
 /// Drives one layout over `warmup + measured` ticks and times the close
 /// cycle of the measured span. Ingest (the observation loop) stays
 /// outside the timer — the close path is what this PR optimises.
-/// Multi-store slab rows request a parallel close; the registry's
-/// `SERIAL_CLOSE_MAX_PAIRS` threshold decides whether the fan-out
-/// actually happens, exactly as in production.
+/// Multi-store slab rows fan the close out once the registry's
+/// `SERIAL_CLOSE_MAX_PAIRS` threshold is crossed, exactly as in
+/// production.
 fn run(
     layout: &'static str,
     live: usize,
@@ -256,15 +256,14 @@ fn run(
     let s = scorer();
     let seeds: FxHashSet<TagId> = (0..live as u32).map(TagId).collect();
     let top_k = 20;
-    let parallel = shards > 1;
     let mut slab = layout.starts_with("slab").then(|| {
         let mut registry =
             ShardedPairRegistry::new(shards, WINDOW, Timestamp::DAY, MIN_SUPPORT, live + 1);
         registry.set_scoring(scoring);
         if layout == "slab+tel" {
             // A live hub: every measured close records per-shard latency
-            // histograms (the journal only sees evictions/rebalances,
-            // which this stable population never triggers).
+            // histograms (the journal only sees evictions, which this
+            // stable population never triggers).
             registry.attach_telemetry(&enblogue::telemetry::Telemetry::new(1024));
         }
         registry
@@ -288,9 +287,9 @@ fn run(
         match (&mut slab, &mut legacy) {
             (Some(r), _) => {
                 r.advance_to(Tick(tick));
-                r.discover_seeded(&seeds, Tick(tick), 0, parallel);
-                r.score_all(Tick(tick), now, &s, parallel, correlate);
-                r.evict_parallel(Tick(tick), now, parallel);
+                r.discover_seeded(&seeds, Tick(tick), 0);
+                r.score_all(Tick(tick), now, &s, correlate);
+                r.evict(Tick(tick), now);
             }
             (_, Some(r)) => r.close(Tick(tick), now, &seeds, &s),
             _ => unreachable!(),
@@ -348,9 +347,9 @@ fn run_paired(
         let close = |r: &mut ShardedPairRegistry| {
             let t0 = Instant::now();
             r.advance_to(Tick(tick));
-            r.discover_seeded(&seeds, Tick(tick), 0, false);
-            r.score_all(Tick(tick), now, &s, false, correlate);
-            r.evict_parallel(Tick(tick), now, false);
+            r.discover_seeded(&seeds, Tick(tick), 0);
+            r.score_all(Tick(tick), now, &s, correlate);
+            r.evict(Tick(tick), now);
             t0.elapsed().as_secs_f64()
         };
         let (da, db) = if tick % 2 == 0 {

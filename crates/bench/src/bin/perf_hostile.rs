@@ -47,7 +47,6 @@ fn builder() -> enblogue::core::config::EnBlogueConfigBuilder {
         .top_k(20)
         .max_tracked_pairs(200_000)
         .shards(4)
-        .parallel_close(false)
 }
 
 /// Replay a (sorted) stream under `config`, returning the snapshots.

@@ -66,7 +66,6 @@ fn config(shards: usize) -> EnBlogueConfig {
         .top_k(20)
         .max_tracked_pairs(500_000)
         .shards(shards)
-        .parallel_close(false)
         .build()
         .unwrap()
 }

@@ -1,6 +1,6 @@
 //! Engine configuration.
 
-use crate::pairs::{RebalanceConfig, ScoringMode};
+use crate::pairs::ScoringMode;
 use enblogue_ingest::default_parallelism;
 use enblogue_stats::correlation::CorrelationMeasure;
 use enblogue_stats::predict::PredictorKind;
@@ -283,11 +283,10 @@ impl SourceGuardConfig {
 /// Two kinds of knobs live here. *Semantic* knobs (tick width, window
 /// length, seed selection, correlation measure, predictor, half-life,
 /// `k`, support thresholds, the tracked-pair cap) change what the engine
-/// computes. *Execution* knobs (`shards`, `parallel_close`,
-/// `ingest_workers`, `rebalance`, `scoring_mode`) only change how the
-/// work is laid out —
-/// rankings are byte-identical for any setting of them, and their
-/// defaults derive from the machine's available parallelism.
+/// computes. *Execution* knobs (`shards`, `ingest_workers`,
+/// `scoring_mode`) only change how the work is laid out — rankings are
+/// byte-identical for any setting of them, and their defaults derive
+/// from the machine's available parallelism.
 ///
 /// # Example
 ///
@@ -334,29 +333,19 @@ pub struct EnBlogueConfig {
     /// Hard cap on concurrently tracked pairs (memory bound); the lowest-
     /// scored pairs are evicted beyond it.
     pub max_tracked_pairs: usize,
-    /// Shard-store pool size of the pair registry. Routing goes through
-    /// the versioned [`enblogue_types::RoutingTable`] slot grid (keys
-    /// hash onto slots with [`enblogue_types::shard_of_packed`]; slots
-    /// map to stores, and the [`EnBlogueConfig::rebalance`] policy may
-    /// re-target them at tick close). Sharding is pure state
-    /// partitioning — rankings are identical for any pool size — but it
-    /// lets tick close fan out shard-parallel and bounds per-store map
-    /// sizes. 1 = the classic single-map registry.
+    /// Shard-store pool size of the pair registry: a pair key lives in
+    /// store [`enblogue_types::shard_of_packed`]`(key, shards)`. Sharding
+    /// is pure state partitioning — rankings are identical for any pool
+    /// size — but with more than one store the apply and the tick close
+    /// fan out one worker per store once the work is large enough (see
+    /// [`crate::pairs::SERIAL_CLOSE_MAX_PAIRS`]), and per-store maps stay
+    /// smaller. 1 = the classic single-map registry.
     pub shards: usize,
-    /// Fan tick close out over one scoped thread per shard. Only useful
-    /// with `shards > 1`; results are identical either way (workers own
-    /// disjoint shards and the scorer is shared read-only).
-    pub parallel_close: bool,
     /// Partitioning worker threads for batched ingestion
     /// (`enblogue-ingest`). Results are identical for any count; this only
     /// sets the default pool size of ingestion pipelines driven off this
     /// engine.
     pub ingest_workers: usize,
-    /// Load-aware shard rebalancing policy (dynamic active store count +
-    /// hot-slot re-spreading under the `max_tracked_pairs` cap). Another
-    /// pure execution knob: rankings are byte-identical with any policy,
-    /// including disabled.
-    pub rebalance: RebalanceConfig,
     /// Periodic checkpointing of the full engine state for failover (see
     /// [`crate::snapshot`]). Off by default; also a pure execution knob —
     /// rankings are byte-identical with any policy.
@@ -397,22 +386,15 @@ impl Default for EnBlogueConfig {
             use_entities: true,
             max_tracked_pairs: 100_000,
             // Execution defaults are derived from the machine rather than
-            // hard-coded: the BENCH_tick_close rows show shard-parallel
-            // close winning from 2 cores up, and sharding/parallelism are
-            // pure execution knobs (rankings identical either way, pinned
-            // by tests/stage_parity.rs), so the defaults can follow the
-            // hardware. Shards are capped at 16 — beyond the benched range
-            // the per-shard maps get too small to amortise fan-out.
+            // hard-coded: the `benches/tick_close.rs` rows show
+            // shard-parallel close winning from 2 cores up, and sharding
+            // is a pure execution knob (rankings identical for any pool,
+            // pinned by tests/stage_parity.rs), so the defaults can follow
+            // the hardware. A 1-core box gets one store and so never fans
+            // out. Shards are capped at 16 — beyond the benched range the
+            // per-shard maps get too small to amortise fan-out.
             shards: default_parallelism().min(16),
-            parallel_close: default_parallelism() > 1,
             ingest_workers: default_parallelism(),
-            // Rebalancing is on by default: with the machine-derived
-            // single-shard pool of a 1-core box it is inert, and on
-            // multi-core pools it only ever migrates state (never
-            // results). `min_active_shards` stays on automatic and
-            // resolves against `parallel_close` when the registry is
-            // built.
-            rebalance: RebalanceConfig::default(),
             snapshot: SnapshotConfig::default(),
             scoring_mode: ScoringMode::default(),
             telemetry: TelemetryConfig::default(),
@@ -467,36 +449,6 @@ impl EnBlogueConfig {
             return Err(EnBlogueError::invalid_config(
                 "ingest_workers",
                 "at least one ingest worker is required",
-            ));
-        }
-        if self.rebalance.slots_per_shard == 0 {
-            return Err(EnBlogueError::invalid_config(
-                "rebalance.slots_per_shard",
-                "the routing grid needs at least one slot per shard",
-            ));
-        }
-        if self.rebalance.target_pairs_per_shard == 0 {
-            return Err(EnBlogueError::invalid_config(
-                "rebalance.target_pairs_per_shard",
-                "the store sizing target must be positive",
-            ));
-        }
-        if !(self.rebalance.min_skew.is_finite() && self.rebalance.min_skew >= 1.0) {
-            return Err(EnBlogueError::invalid_config(
-                "rebalance.min_skew",
-                "the skew trigger is a max/mean ratio and must be ≥ 1",
-            ));
-        }
-        if !(self.rebalance.cap_pressure > 0.0 && self.rebalance.cap_pressure <= 1.0) {
-            return Err(EnBlogueError::invalid_config(
-                "rebalance.cap_pressure",
-                "cap pressure is a fraction of max_tracked_pairs in (0, 1]",
-            ));
-        }
-        if self.rebalance.min_active_shards > self.shards {
-            return Err(EnBlogueError::invalid_config(
-                "rebalance.min_active_shards",
-                "the active-store floor cannot exceed the shard pool",
             ));
         }
         if self.snapshot.enabled() && self.snapshot.directory.is_empty() {
@@ -676,13 +628,6 @@ impl EnBlogueConfigBuilder {
         self
     }
 
-    /// Enables/disables shard-parallel tick close.
-    #[must_use]
-    pub fn parallel_close(mut self, yes: bool) -> Self {
-        self.config.parallel_close = yes;
-        self
-    }
-
     /// Sets the ingestion partitioning worker count.
     #[must_use]
     pub fn ingest_workers(mut self, workers: usize) -> Self {
@@ -694,21 +639,6 @@ impl EnBlogueConfigBuilder {
     #[must_use]
     pub fn scoring_mode(mut self, mode: ScoringMode) -> Self {
         self.config.scoring_mode = mode;
-        self
-    }
-
-    /// Sets the full shard-rebalancing policy.
-    #[must_use]
-    pub fn rebalance(mut self, rebalance: RebalanceConfig) -> Self {
-        self.config.rebalance = rebalance;
-        self
-    }
-
-    /// Enables/disables shard rebalancing, keeping the policy's other
-    /// knobs.
-    #[must_use]
-    pub fn rebalance_enabled(mut self, yes: bool) -> Self {
-        self.config.rebalance.enabled = yes;
         self
     }
 
@@ -819,13 +749,11 @@ mod tests {
     fn sharding_round_trips() {
         let config = EnBlogueConfig::builder()
             .shards(8)
-            .parallel_close(true)
             .ingest_workers(3)
             .scoring_mode(ScoringMode::Scalar)
             .build()
             .unwrap();
         assert_eq!(config.shards, 8);
-        assert!(config.parallel_close);
         assert_eq!(config.ingest_workers, 3);
         assert_eq!(config.scoring_mode, ScoringMode::Scalar);
         assert_eq!(
@@ -840,7 +768,7 @@ mod tests {
         let par = default_parallelism();
         let config = EnBlogueConfig::default();
         assert_eq!(config.shards, par.min(16), "shards picked from available parallelism");
-        assert_eq!(config.parallel_close, par > 1, "parallel close on for multi-core machines");
+        assert_eq!(config.shards > 1, par > 1, "only multi-core machines fan out by default");
         assert_eq!(config.ingest_workers, par);
         assert!(config.shards >= 1);
     }

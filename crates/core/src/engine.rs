@@ -455,7 +455,7 @@ mod tests {
 
     #[test]
     fn sharded_engines_match_the_unsharded_baseline() {
-        let run = |shards: usize, parallel: bool| {
+        let run = |shards: usize| {
             let cfg = EnBlogueConfig::builder()
                 .tick_spec(TickSpec::hourly())
                 .window_ticks(6)
@@ -464,7 +464,6 @@ mod tests {
                 .top_k(5)
                 .min_pair_support(1)
                 .shards(shards)
-                .parallel_close(parallel)
                 .build()
                 .unwrap();
             let mut engine = EnBlogueEngine::new(cfg);
@@ -472,11 +471,10 @@ mod tests {
             stream(&mut engine, 8..10, 4, &[&[1, 2], &[3]]);
             engine.pipeline().latest_snapshot().unwrap().clone()
         };
-        let baseline = run(1, false);
+        let baseline = run(1);
         assert!(!baseline.ranked.is_empty());
         for shards in [4usize, 16] {
-            assert_eq!(run(shards, false), baseline, "{shards} shards");
-            assert_eq!(run(shards, true), baseline, "{shards} shards, parallel close");
+            assert_eq!(run(shards), baseline, "{shards} shards");
         }
     }
 

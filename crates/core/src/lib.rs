@@ -18,8 +18,8 @@
 //! adapter over it:
 //!
 //! * [`stages`] — the five-phase [`stages::StagePipeline`] with
-//!   hash-sharded pair state ([`pairs::ShardedPairRegistry`]) and
-//!   optional shard-parallel tick close,
+//!   hash-sharded pair state ([`pairs::ShardedPairRegistry`]) and a
+//!   shard-parallel apply and tick close once the work is large enough,
 //! * [`engine::EnBlogueEngine`] — the stand-alone engine (feed documents,
 //!   close ticks, collect [`RankingSnapshot`]s),
 //! * [`ingest::ReplayIngest`] — the sink of `enblogue-ingest`'s parallel
@@ -95,7 +95,7 @@ pub use config::{
 pub use enblogue_types::RankingSnapshot;
 pub use engine::EnBlogueEngine;
 pub use ingest::ReplayIngest;
-pub use pairs::{RebalanceConfig, RegistryStats, ScoringMode, ShardedPairRegistry};
+pub use pairs::{RegistryStats, ScoringMode, ShardedPairRegistry};
 pub use personalization::{PersonalizedRanking, UserProfile};
 pub use query::{EngineQuery, PublishDetail, QueryView, ViewData};
 pub use snapshot::{latest_checkpoint, list_checkpoints, SnapshotStats, SNAPSHOT_VERSION};

@@ -15,7 +15,7 @@
 //! front to back — and hands the scorer its ring segments in place
 //! ([`enblogue_stats::predict::SeriesView`]); the key→slot hash map is
 //! consulted only on ingest-side operations (discovery, point lookups,
-//! migration).
+//! snapshot restore).
 //!
 //! No iteration order is maintained: scoring is independent per pair, so
 //! the order the close visits slots in cannot change a result. A freed
@@ -27,8 +27,8 @@ use enblogue_types::{FxHashMap, Tick};
 use enblogue_window::{DecayValue, RingBuffer};
 
 /// Detached per-pair tracked state — the transfer representation used by
-/// shard migration and snapshot restore (the resident representation is
-/// the slab's column vectors).
+/// snapshot restore (the resident representation is the slab's column
+/// vectors).
 pub struct PairState {
     /// Correlation values of past ticks (oldest → newest), the predictor's
     /// input window.
@@ -185,8 +185,7 @@ impl PairSlab {
         true
     }
 
-    /// Inserts a detached [`PairState`] (migration receiver / snapshot
-    /// restore). Returns `false` (no change) if `key` is already tracked.
+    /// Inserts a detached [`PairState`] (snapshot restore). Returns `false` (no change) if `key` is already tracked.
     ///
     /// # Panics
     /// Panics if the state's history exceeds `history_len`.
@@ -225,24 +224,6 @@ impl PairSlab {
             }
             None => false,
         }
-    }
-
-    /// Removes `key` and returns its detached state (migration donor).
-    pub fn extract(&mut self, key: u64) -> Option<PairState> {
-        let slot = self.slot_of(key)?;
-        let mut history = RingBuffer::new(self.history_len);
-        let (older, newer) = self.history_parts(slot);
-        for &value in older.iter().chain(newer) {
-            history.push(value);
-        }
-        let state = PairState {
-            history,
-            score: self.score[slot],
-            last_support: self.last_support[slot],
-            since: self.since[slot],
-        };
-        self.remove_slot(slot);
-        Some(state)
     }
 
     /// The history ring of `slot` as `(older, newer)` contiguous runs,
@@ -347,47 +328,6 @@ impl PairSlab {
         keys.sort_unstable();
         keys
     }
-
-    /// Releases excess capacity and compacts the slab onto its live slots
-    /// (call after bulk removals, e.g. a migration: linear walks cover
-    /// the slot *bound*, so departed slots otherwise cost forever).
-    pub fn shrink_to_fit(&mut self) {
-        let live_count = self.index.len();
-        let mut keys = Vec::with_capacity(live_count);
-        let mut score = Vec::with_capacity(live_count);
-        let mut last_support = Vec::with_capacity(live_count);
-        let mut since = Vec::with_capacity(live_count);
-        let mut hist = Vec::with_capacity(live_count * self.history_len);
-        let mut hist_head = Vec::with_capacity(live_count);
-        let mut hist_count = Vec::with_capacity(live_count);
-        // Survivors keep their relative slot order.
-        for old_slot in 0..self.keys.len() {
-            if !self.live[old_slot] {
-                continue;
-            }
-            *self.index.get_mut(&self.keys[old_slot]).expect("live slot is indexed") =
-                keys.len() as u32;
-            keys.push(self.keys[old_slot]);
-            score.push(self.score[old_slot]);
-            last_support.push(self.last_support[old_slot]);
-            since.push(self.since[old_slot]);
-            let base = old_slot * self.history_len;
-            hist.extend_from_slice(&self.hist[base..base + self.history_len]);
-            hist_head.push(self.hist_head[old_slot]);
-            hist_count.push(self.hist_count[old_slot]);
-        }
-        self.keys = keys;
-        self.live = vec![true; live_count];
-        self.score = score;
-        self.last_support = last_support;
-        self.since = since;
-        self.hist = hist;
-        self.hist_head = hist_head;
-        self.hist_count = hist_count;
-        self.free.clear();
-        self.free.shrink_to_fit();
-        self.index.shrink_to_fit();
-    }
 }
 
 #[cfg(test)]
@@ -456,47 +396,30 @@ mod tests {
     }
 
     #[test]
-    fn extract_and_insert_state_preserve_columns() {
+    fn insert_state_preserves_columns() {
+        let mut history = RingBuffer::new(4);
+        for v in [0.0, 0.25, 0.5, 0.75, 0.9, 0.95] {
+            history.push(v);
+        }
+        let mut score = DecayValue::new(1000);
+        score.set(Timestamp::from_hours(7), 0.625);
+        let state = PairState { history, score, last_support: Tick(6), since: Tick(3) };
         let mut s = slab();
-        s.insert_fresh(42, Tick(3), 1, 1000);
+        assert!(s.insert_state(42, state));
         let slot = s.slot_of(42).unwrap();
-        for v in [0.25, 0.5, 0.75, 0.9, 0.95] {
-            s.push_history(slot, v);
-        }
-        s.score_mut(slot).set(Timestamp::from_hours(7), 0.625);
-        s.set_last_support(slot, Tick(6));
-        let state = s.extract(42).expect("tracked");
-        assert!(s.is_empty());
-        let mut t = slab();
-        assert!(t.insert_state(42, state));
-        let slot = t.slot_of(42).unwrap();
-        let (older, newer) = t.history_parts(slot);
+        let (older, newer) = s.history_parts(slot);
         let joined: Vec<f64> = older.iter().chain(newer).copied().collect();
-        assert_eq!(joined, vec![0.5, 0.75, 0.9, 0.95], "ring tail survives the round-trip");
-        assert_eq!(t.score_at(slot).value_at(Timestamp::from_hours(7)), 0.625);
-        assert_eq!(t.last_support_at(slot), Tick(6));
-        assert_eq!(t.since_at(slot), Tick(3));
-    }
-
-    #[test]
-    fn shrink_to_fit_compacts_live_slots() {
-        let mut s = slab();
-        for key in 0..20u64 {
-            s.insert_fresh(key * 2, Tick(0), 0, 1000);
-            let slot = s.slot_of(key * 2).unwrap();
-            s.push_history(slot, key as f64);
-        }
-        for key in 0..15u64 {
-            s.remove(key * 2);
-        }
-        s.shrink_to_fit();
-        assert_eq!(s.len(), 5);
-        assert_eq!(s.slot_bound(), 5, "dead slots compacted away");
-        for key in 15..20u64 {
-            let slot = s.slot_of(key * 2).expect("survivor");
-            assert_eq!(s.newest_history(slot), Some(key as f64));
-        }
-        let keys: Vec<u64> = s.live_slots().map(|slot| s.key_at(slot)).collect();
-        assert_eq!(keys, vec![30, 32, 34, 36, 38], "survivors keep their slot order");
+        assert_eq!(joined, vec![0.5, 0.75, 0.9, 0.95], "ring tail survives the insert");
+        assert_eq!(s.score_at(slot).value_at(Timestamp::from_hours(7)), 0.625);
+        assert_eq!(s.last_support_at(slot), Tick(6));
+        assert_eq!(s.since_at(slot), Tick(3));
+        let again = PairState {
+            history: RingBuffer::new(4),
+            score: DecayValue::new(1000),
+            last_support: Tick(0),
+            since: Tick(0),
+        };
+        assert!(!s.insert_state(42, again), "a tracked key is left untouched");
+        assert_eq!(s.since_at(slot), Tick(3));
     }
 }

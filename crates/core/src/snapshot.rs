@@ -1,26 +1,26 @@
 //! Versioned checkpoint/restore of the full engine state.
 //!
-//! EnBlogue is a continuously running service: tag-pair windows, shift
-//! scores and the routing epoch accumulate over the whole stream, so a
-//! crash loses state that replay alone can only rebuild by re-reading
-//! everything. This module is the failover answer: the complete
-//! [`crate::stages::PipelineState`] — per-shard pair states, windowed
-//! counts *including observed-but-undiscovered keys*, the routing table
-//! with its epoch, the rebalancer's load accumulators, seed-tracker
-//! windows, and the tick cursor — serializes into one length-prefixed,
-//! checksummed binary file, written atomically (temp file + rename) and
-//! restored into a fresh pipeline that continues mid-stream.
+//! EnBlogue is a continuously running service: tag-pair windows and shift
+//! scores accumulate over the whole stream, so a crash loses state that
+//! replay alone can only rebuild by re-reading everything. This module is
+//! the failover answer: the complete [`crate::stages::PipelineState`] —
+//! per-shard pair states, windowed counts *including
+//! observed-but-undiscovered keys*, seed-tracker windows, the event-time
+//! buffer and source guard, and the tick cursor — serializes into one
+//! length-prefixed, checksummed binary file, written atomically (temp
+//! file + rename) and restored into a fresh pipeline that continues
+//! mid-stream.
 //!
 //! The headline invariant, pinned by `tests/stage_parity.rs` and
 //! `crates/core/tests/prop_snapshot.rs`: **checkpoint at any tick close +
 //! restore + replay of the tail produces byte-identical rankings to the
-//! uninterrupted run**, across every execution knob (shard count, close
-//! mode, ingest workers, rebalance policy). Restores of truncated,
+//! uninterrupted run**, across every execution knob (shard count, ingest
+//! workers, scoring mode). Restores of truncated,
 //! corrupted, or incompatible files surface a typed
 //! [`EnBlogueError`] — never a panic: a half-written checkpoint from a
 //! crash is exactly the input the restore path exists for.
 //!
-//! # File format (version 2)
+//! # File format (version 3)
 //!
 //! ```text
 //! magic   8 bytes  b"ENBSNP01"
@@ -54,9 +54,12 @@ use std::path::{Path, PathBuf};
 ///
 /// Version 2 appended the event-time robustness sections (reordering
 /// buffer — pending documents included — and source-guard state) behind
-/// presence bytes; version-1 files are rejected with a typed
-/// [`EnBlogueError::SnapshotVersionMismatch`] rather than misparsed.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// presence bytes. Version 3 dropped the shard-routing table, its epoch
+/// and the per-slot load counters from the registry section: a pair's
+/// store is a fixed hash of its key. Files of any other version are
+/// rejected with a typed [`EnBlogueError::SnapshotVersionMismatch`]
+/// rather than misparsed.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// File magic: identifies EnBlogue snapshots regardless of extension.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ENBSNP01";
@@ -97,7 +100,7 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 /// The snapshot section itself is excluded (changing where checkpoints go
 /// must not invalidate old checkpoints); everything else — semantic knobs
 /// *and* execution knobs — must match exactly for a resume, because the
-/// restored structures (shard pool, slot grid, window lengths, sketch
+/// restored structures (shard pool, window lengths, sketch
 /// capacities) are sized by them.
 pub(crate) fn config_fingerprint(config: &EnBlogueConfig) -> u64 {
     let mut config = config.clone();
@@ -140,10 +143,6 @@ impl SnapWriter {
 
     pub(crate) fn u8(&mut self, v: u8) {
         self.buf.push(v);
-    }
-
-    pub(crate) fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     pub(crate) fn u32(&mut self, v: u32) {
@@ -217,10 +216,6 @@ impl<'a> SnapReader<'a> {
 
     pub(crate) fn u8(&mut self) -> Result<u8, EnBlogueError> {
         Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, EnBlogueError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
     }
 
     pub(crate) fn u32(&mut self) -> Result<u32, EnBlogueError> {
@@ -466,7 +461,6 @@ mod tests {
     fn codec_round_trips_every_primitive() {
         let mut w = SnapWriter::new();
         w.u8(7);
-        w.u16(65_000);
         w.u32(123_456);
         w.u64(u64::MAX - 1);
         w.f64(-0.125);
@@ -478,7 +472,6 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u16().unwrap(), 65_000);
         assert_eq!(r.u32().unwrap(), 123_456);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.f64().unwrap(), -0.125);
@@ -534,16 +527,16 @@ mod tests {
         std::fs::write(&path, &raw[..raw.len() - 5]).unwrap();
         assert!(matches!(read_snapshot_payload(&path), Err(EnBlogueError::SnapshotCorrupt(_))));
 
-        // Wrong version.
+        // Wrong version: a file of the previous format.
         let mut raw = Vec::new();
         raw.extend_from_slice(&SNAPSHOT_MAGIC);
-        raw.extend_from_slice(&99u32.to_le_bytes());
+        raw.extend_from_slice(&2u32.to_le_bytes());
         raw.extend_from_slice(&0u64.to_le_bytes());
         raw.extend_from_slice(&fnv1a64(b"").to_le_bytes());
         std::fs::write(&path, &raw).unwrap();
         assert_eq!(
             read_snapshot_payload(&path),
-            Err(EnBlogueError::SnapshotVersionMismatch { found: 99, supported: SNAPSHOT_VERSION })
+            Err(EnBlogueError::SnapshotVersionMismatch { found: 2, supported: 3 })
         );
 
         // Wrong magic.

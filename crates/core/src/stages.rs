@@ -11,7 +11,7 @@
 //! 3. [`PairCountStage`] — candidate discovery + windowed pair counting
 //!    over the sharded registry (§3(i)–(ii)),
 //! 4. [`ShiftScoreStage`] — correlation + prediction-error scoring,
-//!    shard-parallel when configured (§3(ii)–(iii)),
+//!    shard-parallel on a large sharded registry (§3(ii)–(iii)),
 //! 5. [`RankEmitStage`] — top-k ranking emission.
 //!
 //! Consumers are thin adapters: [`crate::engine::EnBlogueEngine`] wraps one
@@ -67,11 +67,11 @@ pub struct EngineCounters {
     pub distinct_tags: usize,
     /// Shard-store pool size of the pair registry.
     pub shards: usize,
-    /// Current routing epoch (0 until the first rebalance migrates).
-    pub routing_epoch: u64,
-    /// Shard rebalances applied.
+    /// Always 0: pair state never moves between stores. Kept because the
+    /// stand-alone benchmark still reads it (`core.close.rebalances`).
     pub rebalances: u64,
-    /// Pair states migrated between shard stores.
+    /// Always 0, for the same reason as `rebalances`
+    /// (`core.close.migrated_pairs`).
     pub pairs_migrated: u64,
     /// Checkpoints written by this process (stage hook + explicit API).
     pub snapshots_taken: u64,
@@ -115,7 +115,7 @@ pub struct EngineTimings {
     /// shift update over all tracked pairs).
     pub close_score_micros: u64,
     /// Cumulative microseconds the close spent on expiry (support
-    /// eviction, the cap pass and the rebalance decision).
+    /// eviction and the cap pass).
     pub close_expiry_micros: u64,
     /// Cumulative microseconds the close spent merging the top-k
     /// ranking.
@@ -252,16 +252,12 @@ impl PipelineState {
             MeasureKind::JsDivergence => Some(WindowedTermDists::new(config.window_ticks)),
             MeasureKind::Set(_) => None,
         };
-        let mut registry = ShardedPairRegistry::with_rebalance(
+        let mut registry = ShardedPairRegistry::new(
             config.shards,
             config.window_ticks,
             config.half_life_ms,
             config.min_pair_support,
             config.max_tracked_pairs,
-            // The automatic active-store floor resolves against the
-            // close mode: a parallel close keeps the whole pool busy,
-            // a serial close may consolidate for locality.
-            config.rebalance.resolved(config.shards, config.parallel_close),
         );
         registry.set_scoring(config.scoring_mode);
         let telemetry = if config.telemetry.enabled {
@@ -396,7 +392,6 @@ impl PipelineState {
 
     /// Current run-time counters and timing views.
     pub fn metrics(&self) -> EngineMetrics {
-        let registry_stats = self.registry.stats();
         EngineMetrics {
             counters: EngineCounters {
                 docs_processed: self.docs_processed,
@@ -407,9 +402,8 @@ impl PipelineState {
                 seeds_current: self.seeds.len(),
                 distinct_tags: self.seed_tracker.distinct_tags(),
                 shards: self.registry.shard_count(),
-                routing_epoch: registry_stats.routing_epoch,
-                rebalances: registry_stats.rebalances,
-                pairs_migrated: registry_stats.migrated_pairs,
+                rebalances: 0,
+                pairs_migrated: 0,
                 snapshots_taken: self.snapshots_taken,
                 snapshot_bytes_written: self.snapshot_bytes,
                 snapshot_failures: self.snapshot_failures,
@@ -590,7 +584,6 @@ impl PipelineState {
             config.half_life_ms,
             config.min_pair_support,
             config.max_tracked_pairs,
-            config.rebalance.resolved(config.shards, config.parallel_close),
         )?;
         registry.set_scoring(config.scoring_mode);
         let event = match (r.u8()?, config.event_time.enabled) {
@@ -948,8 +941,7 @@ impl TickStage for PairCountStage {
             MeasureKind::Set(_) => tick.0.min(state.config.window_ticks as u64 - 1) as usize,
             MeasureKind::JsDivergence => 0,
         };
-        let parallel = state.config.parallel_close;
-        state.registry.discover_seeded(&state.seeds, tick, backfill, parallel);
+        state.registry.discover_seeded(&state.seeds, tick, backfill);
     }
 }
 
@@ -971,7 +963,6 @@ impl TickStage for ShiftScoreStage {
     fn on_close(&mut self, state: &mut PipelineState, tick: Tick, now: Timestamp) {
         let n = state.doc_series.sum().round() as u64;
         let measure = state.config.measure;
-        let parallel = state.config.parallel_close;
         // Split borrows: the registry mutates shard-locally while the
         // correlation closure reads the (frozen) window statistics.
         let PipelineState { registry, seed_tracker, term_dists, scorer, probes, .. } = state;
@@ -981,7 +972,7 @@ impl TickStage for ShiftScoreStage {
         let count_of = |tag: TagId| tag_counts.get(tag.index()).copied().unwrap_or(0);
         let term_dists = &*term_dists;
         let score_span = enblogue_telemetry::span!(probes.close_score);
-        registry.score_all(tick, now, scorer, parallel, move |pair, ab| match measure {
+        registry.score_all(tick, now, scorer, move |pair, ab| match measure {
             MeasureKind::Set(measure) => {
                 let (a, b) = (count_of(pair.lo()), count_of(pair.hi()));
                 measure.compute(PairCounts::new(a, b, ab, n))
@@ -1002,12 +993,7 @@ impl TickStage for ShiftScoreStage {
         });
         score_span.finish();
         let _expiry_span = enblogue_telemetry::span!(probes.close_expiry);
-        registry.evict_parallel(tick, now, parallel);
-        // Tick-aligned rebalance decision, after eviction so the policy
-        // sees the post-eviction population. Migration preserves every
-        // pair's state bit-for-bit, so rankings are unaffected — pinned
-        // by `tests/stage_parity.rs` across rebalance on/off grids.
-        registry.maybe_rebalance(tick);
+        registry.evict(tick, now);
     }
 }
 
@@ -1147,10 +1133,6 @@ pub struct StagePipeline {
     /// Tick of the first processed document — where gap closing starts
     /// when no tick has been closed yet.
     first_open: Option<Tick>,
-    /// Batches that arrived bucketed under a superseded routing epoch and
-    /// had to be re-partitioned (timing-dependent, so deliberately *not*
-    /// part of [`EngineMetrics`], which tests compare across feed modes).
-    stale_repartitions: u64,
     /// Scratch for documents the reordering buffer releases (reused
     /// across [`StagePipeline::offer_doc`] calls).
     event_ready_buf: Vec<Document>,
@@ -1204,7 +1186,6 @@ impl StagePipeline {
             annotation_buf: Vec::with_capacity(16),
             last_closed,
             first_open,
-            stale_repartitions: 0,
             event_ready_buf: Vec::new(),
             drops_reported,
         }
@@ -1315,15 +1296,13 @@ impl StagePipeline {
         }
     }
 
-    /// The partitioning parameters batched feeders need (the pair-space
-    /// slice of the engine configuration, plus the registry's live
-    /// routing handle — partitioning workers snapshot it per batch and
-    /// follow rebalances as they are published).
+    /// The partitioning parameters batched feeders need: the pair-space
+    /// slice of the engine configuration and the registry's pool size.
     pub fn partition_spec(&self) -> PartitionSpec {
         PartitionSpec {
             tick_spec: self.state.config.tick_spec,
             use_entities: self.state.config.use_entities,
-            routing: self.state.registry.routing_handle(),
+            shards: self.state.registry.shard_count(),
         }
     }
 
@@ -1335,7 +1314,8 @@ impl StagePipeline {
     /// is tokenized and pair-partitioned once
     /// ([`enblogue_ingest::partition::partition_docs`]) and the
     /// observations are applied to the sharded registry in one pass —
-    /// shard-parallel when the configuration enables `parallel_close`.
+    /// shard-parallel when the registry has several stores and the batch
+    /// is large enough.
     pub fn process_docs(&mut self, docs: &[Document]) {
         if self.state.guard.is_some() {
             // Guard verdicts must interleave with feeding in stream
@@ -1366,19 +1346,15 @@ impl StagePipeline {
     /// Window bookkeeping (seeds, document volume, term distributions)
     /// runs per document in stream order; the pre-bucketed pair
     /// observations are applied to the registry in one fan-out, one worker
-    /// per shard when `parallel_close` is set. Equivalent to per-document
-    /// feeding for any shard count and either mode: per-shard write order
-    /// is exactly the sequential subsequence, and no close-phase reader
-    /// runs until the tick closes.
+    /// per shard from [`crate::pairs::PARALLEL_APPLY_MIN_OBSERVATIONS`] on.
+    /// Equivalent to per-document feeding for any shard count, serial or
+    /// fanned out: per-shard write order is exactly the sequential
+    /// subsequence, and no close-phase reader runs until the tick closes.
     ///
     /// # Panics
     /// Panics if `partitioned` was built for a different document slice or
     /// shard count.
     pub fn process_partitioned(&mut self, docs: &[Document], partitioned: &PartitionedBatch) {
-        /// Below this many observations a thread scope costs more than the
-        /// serial apply loop it replaces; small batches stay on the caller
-        /// thread. A pure execution threshold — results are identical.
-        const PARALLEL_APPLY_MIN_OBSERVATIONS: usize = 512;
         if self.state.guard.is_some() {
             // The batch was partitioned before the guard could judge its
             // documents (partitioning runs on worker threads that hold no
@@ -1391,28 +1367,11 @@ impl StagePipeline {
             }
             return;
         }
-        if partitioned.routing_epoch != self.state.registry.routing_epoch() {
-            // A rebalance migrated shard ownership between partitioning
-            // (on a worker thread) and application: the buckets route to
-            // the wrong stores now. Re-partition under the current table.
-            // This re-pays the batch's full partitioning cost (including
-            // tokenization — the batch does not retain the flat
-            // observation stream), but only for the handful of batches in
-            // flight across a rebalance, and rebalances are cooldown-
-            // spaced. The fresh batch carries the current epoch, so the
-            // recursion terminates after one step (no close can
-            // interleave on this thread).
-            self.stale_repartitions += 1;
-            let fresh = partition_docs(docs, &self.partition_spec());
-            return self.process_partitioned(docs, &fresh);
-        }
         assert_eq!(partitioned.docs, docs.len(), "partitioned batch does not match the slice");
         for doc in docs {
             self.ingest_doc(doc, true);
         }
-        let parallel = self.state.config.parallel_close
-            && partitioned.observations >= PARALLEL_APPLY_MIN_OBSERVATIONS;
-        self.state.registry.ingest_partitioned(partitioned.buckets(), parallel);
+        self.state.registry.ingest_partitioned(partitioned.buckets());
     }
 
     /// Closes `tick` by running every stage's close phase in order and
@@ -1766,12 +1725,11 @@ impl StagePipeline {
         self.state.metrics()
     }
 
-    /// Batches re-partitioned because a rebalance superseded their
-    /// routing epoch while they were in flight (see
-    /// [`StagePipeline::process_partitioned`]). Timing-dependent; for
-    /// observability, not for replay comparison.
+    /// Always 0: batches are bucketed by a fixed hash split, so none can
+    /// arrive stale. Kept because the stand-alone benchmark still reads
+    /// it (`ingest.pipeline.stale_repartitions`).
     pub fn stale_repartitions(&self) -> u64 {
-        self.stale_repartitions
+        0
     }
 }
 
@@ -1780,7 +1738,7 @@ mod tests {
     use super::*;
     use enblogue_types::{TickSpec, Timestamp};
 
-    fn config(shards: usize, parallel: bool) -> EnBlogueConfig {
+    fn config(shards: usize) -> EnBlogueConfig {
         EnBlogueConfig::builder()
             .tick_spec(TickSpec::hourly())
             .window_ticks(6)
@@ -1789,7 +1747,6 @@ mod tests {
             .top_k(5)
             .min_pair_support(1)
             .shards(shards)
-            .parallel_close(parallel)
             .build()
             .unwrap()
     }
@@ -1820,7 +1777,7 @@ mod tests {
 
     #[test]
     fn standard_pipeline_names_the_five_phases() {
-        let pipeline = StagePipeline::new(config(1, false));
+        let pipeline = StagePipeline::new(config(1));
         assert_eq!(
             pipeline.stage_names(),
             vec!["seed-select", "term-window", "pair-count", "shift-score", "rank-emit"]
@@ -1829,7 +1786,7 @@ mod tests {
 
     #[test]
     fn checkpoint_stage_mounts_only_when_configured() {
-        let mut cfg = config(1, false);
+        let mut cfg = config(1);
         cfg.snapshot = crate::config::SnapshotConfig {
             interval_ticks: 4,
             directory: std::env::temp_dir()
@@ -1855,7 +1812,7 @@ mod tests {
 
     #[test]
     fn failed_checkpoint_writes_are_counted_not_raised() {
-        let mut cfg = config(1, false);
+        let mut cfg = config(1);
         // A directory that cannot be created (parent is a file).
         cfg.snapshot = crate::config::SnapshotConfig {
             interval_ticks: 1,
@@ -1873,7 +1830,7 @@ mod tests {
 
     #[test]
     fn pipeline_detects_the_emergent_pair() {
-        let mut pipeline = StagePipeline::new(config(1, false));
+        let mut pipeline = StagePipeline::new(config(1));
         let snapshots = pipeline.run_replay(&burst_workload());
         assert_eq!(snapshots.len(), 12);
         let last = snapshots.last().unwrap();
@@ -1885,10 +1842,10 @@ mod tests {
     #[test]
     fn shard_count_and_parallelism_do_not_change_results() {
         let docs = burst_workload();
-        let baseline = StagePipeline::new(config(1, false)).run_replay(&docs);
-        for (shards, parallel) in [(4, false), (16, false), (4, true), (16, true)] {
-            let snapshots = StagePipeline::new(config(shards, parallel)).run_replay(&docs);
-            assert_eq!(snapshots, baseline, "shards={shards} parallel={parallel}");
+        let baseline = StagePipeline::new(config(1)).run_replay(&docs);
+        for shards in [4, 16] {
+            let snapshots = StagePipeline::new(config(shards)).run_replay(&docs);
+            assert_eq!(snapshots, baseline, "shards={shards}");
         }
     }
 
@@ -1896,7 +1853,7 @@ mod tests {
     fn process_docs_matches_per_doc_feeding() {
         let docs = burst_workload();
         // Batched: feed each tick's slice at once.
-        let mut batched = StagePipeline::new(config(4, false));
+        let mut batched = StagePipeline::new(config(4));
         let mut start = 0;
         let mut out_batched = Vec::new();
         for hour in 0..12u64 {
@@ -1908,7 +1865,7 @@ mod tests {
             out_batched.push(batched.close_tick(Tick(hour)));
             start = end;
         }
-        let mut single = StagePipeline::new(config(4, false));
+        let mut single = StagePipeline::new(config(4));
         let out_single = single.run_replay(&docs);
         assert_eq!(out_batched, out_single);
         assert_eq!(batched.metrics(), single.metrics());
@@ -1916,7 +1873,7 @@ mod tests {
 
     #[test]
     fn close_through_fills_gaps_once() {
-        let mut pipeline = StagePipeline::new(config(1, false));
+        let mut pipeline = StagePipeline::new(config(1));
         pipeline.process_doc(&doc(1, 0, &[1, 2]));
         let mut ticks = Vec::new();
         pipeline.close_through(Tick(3), |s| ticks.push(s.tick));
@@ -1942,7 +1899,7 @@ mod tests {
             }
         }
         let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let mut pipeline = StagePipeline::new(config(1, false));
+        let mut pipeline = StagePipeline::new(config(1));
         pipeline.push_stage(Box::new(SnapshotProbe { seen: std::sync::Arc::clone(&seen) }));
         assert_eq!(pipeline.stage_names().len(), 6);
         pipeline.process_doc(&doc(1, 0, &[1, 2]));

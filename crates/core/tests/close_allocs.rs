@@ -5,7 +5,8 @@
 //! binary's global allocator; its counters are process-global, so this
 //! file holds exactly one `#[test]` — all scenarios run inside it, with
 //! the measured sections on the test thread and serial close (a parallel
-//! fan-out allocates thread stacks by design).
+//! fan-out allocates thread stacks by design; the populations here stay
+//! below `SERIAL_CLOSE_MAX_PAIRS`, so every close runs serially).
 //!
 //! Scope: the registry close cycle — window advance, seeded discovery
 //! over the open-tick candidates, shift scoring across every tracked
@@ -34,11 +35,11 @@ fn run_tick(registry: &mut ShardedPairRegistry, seeds: &FxHashSet<TagId>, s: &Sh
         }
     }
     registry.advance_to(tick);
-    registry.discover_seeded(seeds, tick, 0, false);
-    registry.score_all(tick, Timestamp::from_hours(t), s, false, |pair, ab| {
+    registry.discover_seeded(seeds, tick, 0);
+    registry.score_all(tick, Timestamp::from_hours(t), s, |pair, ab| {
         ab as f64 / (4.0 + (pair.lo().0 % 5) as f64)
     });
-    registry.evict_parallel(tick, Timestamp::from_hours(t), false);
+    registry.evict(tick, Timestamp::from_hours(t));
 }
 
 const PAIRS: u32 = 512;

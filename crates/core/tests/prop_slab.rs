@@ -2,12 +2,13 @@
 //! registry (slab columns, arena history rings, lane-based windowed
 //! counts) must be observably indistinguishable from a straightforward
 //! map-of-structs reference model under random ingest / close / evict /
-//! migrate / snapshot-restore sequences — including bit-exact scores,
+//! snapshot-restore sequences over any shard count — including bit-exact
+//! scores,
 //! since both sides must perform the identical float operations in the
 //! identical order. A second property pins that the slot layout, and so
 //! the order the close visits pairs in, has no effect on any result.
 
-use enblogue_core::pairs::{RebalanceConfig, ScoringMode, ShardedPairRegistry};
+use enblogue_core::pairs::{ScoringMode, ShardedPairRegistry};
 use enblogue_stats::predict::PredictorKind;
 use enblogue_stats::shift::{ErrorNormalization, ShiftScorer};
 use enblogue_types::{FxHashSet, TagId, TagPair, Tick, Timestamp};
@@ -16,8 +17,6 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
 const POOL: usize = 4;
-const SLOTS_PER_SHARD: usize = 4;
-const SLOTS: usize = POOL * SLOTS_PER_SHARD;
 const WINDOW: usize = 5;
 const MIN_SUPPORT: u64 = 1;
 const CAP: usize = 12;
@@ -139,21 +138,8 @@ impl RefModel {
     }
 }
 
-fn registry() -> ShardedPairRegistry {
-    ShardedPairRegistry::with_rebalance(
-        POOL,
-        WINDOW,
-        Timestamp::DAY,
-        MIN_SUPPORT,
-        CAP,
-        RebalanceConfig {
-            enabled: true,
-            slots_per_shard: SLOTS_PER_SHARD,
-            // Quiet policy: migrations are scripted through `migrate_to`.
-            min_tracked_pairs: usize::MAX,
-            ..RebalanceConfig::default()
-        },
-    )
+fn registry(shards: usize) -> ShardedPairRegistry {
+    ShardedPairRegistry::new(shards, WINDOW, Timestamp::DAY, MIN_SUPPORT, CAP)
 }
 
 /// Round-trips the registry through its standalone snapshot payload.
@@ -161,17 +147,11 @@ fn roundtrip(registry: ShardedPairRegistry) -> ShardedPairRegistry {
     let bytes = registry.snapshot_bytes();
     ShardedPairRegistry::from_snapshot_bytes(
         &bytes,
-        POOL,
+        registry.shard_count(),
         WINDOW,
         Timestamp::DAY,
         MIN_SUPPORT,
         CAP,
-        RebalanceConfig {
-            enabled: true,
-            slots_per_shard: SLOTS_PER_SHARD,
-            min_tracked_pairs: usize::MAX,
-            ..RebalanceConfig::default()
-        },
     )
     .expect("self-produced snapshot restores")
 }
@@ -222,7 +202,6 @@ fn static_roundtrip(registry: &ShardedPairRegistry, mode: ScoringMode) -> Sharde
         Timestamp::DAY,
         MIN_SUPPORT,
         ORDER_CAP,
-        RebalanceConfig::disabled(),
     )
     .expect("self-produced snapshot restores");
     restored.set_scoring(mode);
@@ -318,9 +297,9 @@ proptest! {
                         }
                     }
                     r.advance_to(Tick(tick));
-                    r.discover_seeded(&seeds, Tick(tick), 2, false);
-                    r.score_all(Tick(tick), now, &s, false, correlate);
-                    r.evict_parallel(Tick(tick), now, false);
+                    r.discover_seeded(&seeds, Tick(tick), 2);
+                    r.score_all(Tick(tick), now, &s, correlate);
+                    r.evict(Tick(tick), now);
                 }
                 assert_same_state(&a, &b, tick)?;
                 if step == snapshot_at {
@@ -334,23 +313,19 @@ proptest! {
 
     /// The full observable surface of the slab registry — tracked keys,
     /// correlation histories, windowed counts, rankings, eviction totals
-    /// — matches the reference model at every tick close, with scripted
-    /// migrations and snapshot round-trips injected between ticks.
+    /// — matches the reference model at every tick close, for any shard
+    /// count, with snapshot round-trips injected between ticks.
     #[test]
     fn slab_registry_matches_reference_model(
         obs in proptest::collection::vec((0u64..8, 0u32..16, 0u32..16), 1..300),
-        migrations in proptest::collection::vec(
-            proptest::collection::vec(0u16..POOL as u16, SLOTS),
-            0..4,
-        ),
-        migrate_at in proptest::collection::vec(0u64..8, 0..4),
+        shards in proptest::sample::select(vec![1usize, 4, 16]),
         snapshot_at in proptest::collection::vec(0u64..8, 0..3),
     ) {
         let s = scorer();
         // Only even tags seed, so some observed pairs stay undiscovered —
-        // their windowed counts must still survive migration and restore.
+        // their windowed counts must still survive a restore.
         let seeds: FxHashSet<TagId> = (0..40u32).filter(|a| a % 2 == 0).map(TagId).collect();
-        let mut r = registry();
+        let mut r = registry(shards);
         let mut model = RefModel::new();
         let last_tick = obs.iter().map(|&(t, _, _)| t).max().unwrap_or(0);
         let mut observed: Vec<u64> = Vec::new();
@@ -366,11 +341,9 @@ proptest! {
                 }
             }
             r.advance_to(Tick(tick));
-            r.discover_seeded(&seeds, Tick(tick), 0, false);
-            r.score_all(Tick(tick), Timestamp::from_hours(tick), &s, false, |p, ab| {
-                correlate(p, ab)
-            });
-            r.evict_parallel(Tick(tick), Timestamp::from_hours(tick), false);
+            r.discover_seeded(&seeds, Tick(tick), 0);
+            r.score_all(Tick(tick), Timestamp::from_hours(tick), &s, correlate);
+            r.evict(Tick(tick), Timestamp::from_hours(tick));
             model.close(tick, &seeds, &s);
 
             // Every close: full observable comparison.
@@ -418,15 +391,8 @@ proptest! {
                 "ranking at tick {}", tick
             );
 
-            // Scripted structural events between ticks: the model has no
-            // notion of either, so both must be observably invisible.
-            for (index, &at) in migrate_at.iter().enumerate() {
-                if at == tick {
-                    if let Some(assignment) = migrations.get(index) {
-                        r.migrate_to(assignment.clone());
-                    }
-                }
-            }
+            // A scripted restore between ticks: the model has no notion of
+            // it, so it must be observably invisible.
             if snapshot_at.contains(&tick) {
                 r = roundtrip(r);
             }

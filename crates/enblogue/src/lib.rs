@@ -46,10 +46,9 @@
 //!                        │
 //!                        ▼
 //!        ShardedPairRegistry (pool of hash-shard stores)
-//!   versioned RoutingTable: key ──mix──► slot ──assignment──► store
+//!   key ──shard_of_packed──► store (fixed for the whole run)
 //!   store 0 … store N−1: pair states + windowed pair counts
-//!   ingest and close fan out over scoped threads, one chunk per core;
-//!   a load-aware rebalancer may re-target slots at tick close
+//!   ingest and close fan out over scoped threads, one chunk per core
 //! ```
 //!
 //! Comparing rankings from several parameter settings over one stream
@@ -59,11 +58,9 @@
 //!
 //! **Which layer owns what:**
 //!
-//! * `enblogue-types` owns the shard *routing* contract: the versioned
-//!   slot → shard [`types::RoutingTable`] behind a [`types::SharedRouting`]
-//!   handle (keys hash onto the fixed slot grid with
-//!   [`types::shard_of_packed`]); every layer that partitions pair state
-//!   consults the same table, and rebalances are published as new epochs.
+//! * `enblogue-types` owns the shard *routing* contract: the fixed hash
+//!   [`types::shard_of_packed`] that assigns each pair key its store;
+//!   every layer that partitions pair state calls the same function.
 //! * `enblogue-window` owns sharded *storage*
 //!   ([`window::ShardedWindowedCounter`]): per-shard windowed pair counts,
 //!   exact because each key lives in exactly one shard.
@@ -95,10 +92,9 @@
 //!   [`serve::Subscription`]s share each publish's engine pass — the one
 //!   delivery path.
 //!
-//! Sharding (`EnBlogueConfig::shards`), shard-parallel close
-//! (`EnBlogueConfig::parallel_close`), load-aware rebalancing
-//! (`EnBlogueConfig::rebalance`) and the entire ingestion subsystem
-//! (batch size, queue depth, worker count) are pure execution knobs:
+//! Sharding (`EnBlogueConfig::shards`, which also decides whether apply
+//! and close fan out) and the entire ingestion subsystem (batch size,
+//! queue depth, worker count) are pure execution knobs:
 //! rankings are byte-identical for any setting (enforced by
 //! `tests/stage_parity.rs`). Batched ingestion
 //! ([`core::engine::EnBlogueEngine::process_docs`], or
@@ -128,9 +124,7 @@ pub mod prelude {
     };
     pub use enblogue_core::engine::{EnBlogueEngine, EngineMetrics};
     pub use enblogue_core::ingest::ReplayIngest;
-    pub use enblogue_core::pairs::{
-        RebalanceConfig, RegistryStats, ScoringMode, ShardedPairRegistry,
-    };
+    pub use enblogue_core::pairs::{RegistryStats, ScoringMode, ShardedPairRegistry};
     pub use enblogue_core::personalization::{
         jaccard_at_k, personalize, personalize_shared, resolve_ranked_names, PersonalizedRanking,
         UserProfile,

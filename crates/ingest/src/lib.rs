@@ -2,16 +2,14 @@
 //!
 //! The feed path of EnBlogue: documents arrive in batches, each batch is
 //! tokenized into `(tick, packed pair)` co-occurrence observations exactly
-//! once, the observations are bucketed by pair shard (a snapshot of the
-//! consuming registry's versioned [`enblogue_types::RoutingTable`]), and
-//! the buckets are applied to the sharded pair state with one worker per
-//! shard. The subsystem has two layers:
+//! once, the observations are bucketed by pair shard (the fixed hash
+//! split [`enblogue_types::shard_of_packed`] the consuming registry uses),
+//! and the buckets are applied to the sharded pair state with one worker
+//! per shard. The subsystem has two layers:
 //!
 //! * [`partition`] — the pure pre-pass: [`partition::partition_docs`]
 //!   turns a document slice into a [`partition::PartitionedBatch`] under a
-//!   [`partition::PartitionSpec`]. No locks, no threads, no own state
-//!   (routing is snapshotted per call and the batch records its epoch, so
-//!   a consumer can detect batches bucketed before a shard rebalance);
+//!   [`partition::PartitionSpec`]. No locks, no threads, no own state;
 //!   the per-shard observation order is exactly the order a sequential
 //!   feeder would have produced, which is what makes downstream
 //!   application order-identical.
@@ -36,7 +34,7 @@
 //!   degrades alone instead of hijacking the rankings.
 //!
 //! Parallel ingestion is a **pure execution knob**: for any batch size,
-//! queue depth, worker count, shard count, or rebalance schedule, the sink observes the exact
+//! queue depth, worker count or shard count, the sink observes the exact
 //! sequence of applications a sequential replay would perform, so rankings
 //! stay byte-identical (pinned by `tests/stage_parity.rs` in the
 //! workspace root). `enblogue-core` implements [`pipeline::IngestSink`]

@@ -1,30 +1,20 @@
 //! The partitioning pre-pass: documents → shard-bucketed pair
 //! observations.
 //!
-//! Pair counting partitions cleanly by the registry's
-//! [routing table](RoutingTable): every co-occurrence `(tick, packed
-//! pair)` touches exactly one shard of the pair registry. Tokenizing a
-//! batch once and bucketing its observations up front is what lets the
+//! Pair counting partitions cleanly by the registry's fixed hash split
+//! ([`shard_of_packed`]): every co-occurrence `(tick, packed pair)`
+//! touches exactly one shard of the pair registry. Tokenizing a batch
+//! once and bucketing its observations up front is what lets the
 //! application step fan out one writer per shard without any locking —
 //! and because the pre-pass preserves document order within each bucket,
 //! the per-shard write sequence is identical to sequential feeding.
-//!
-//! Routing is *versioned*: the spec carries a [`SharedRouting`] handle,
-//! every [`partition_docs`] call snapshots the current epoch, and the
-//! resulting batch records which epoch it was bucketed under. When a
-//! rebalance lands between partitioning (on a worker thread) and
-//! application (on the sink thread), the consumer detects the stale epoch
-//! and re-partitions under the fresh table — see
-//! `StagePipeline::process_partitioned` in `enblogue-core`.
 
-use enblogue_types::{Document, RoutingTable, SharedRouting, TagId, TagPair, Tick, TickSpec};
+use enblogue_types::{shard_of_packed, Document, TagId, TagPair, Tick, TickSpec};
 
 /// Everything the partitioner needs to know about the consuming engine.
 ///
 /// Mirrors the relevant slice of `EnBlogueConfig`; sinks hand it out so
-/// partitioning workers can run far away from the engine state. The
-/// routing handle stays live: workers see rebalances published after the
-/// spec was handed out.
+/// partitioning workers can run far away from the engine state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionSpec {
     /// Stream-time discretisation (assigns each document its tick).
@@ -32,22 +22,8 @@ pub struct PartitionSpec {
     /// Whether entity annotations join tags in the pair space
     /// ("tag/entity mixtures as emergent topics", §3).
     pub use_entities: bool,
-    /// The consuming registry's live routing handle (pair key → shard).
-    pub routing: SharedRouting,
-}
-
-impl PartitionSpec {
-    /// A spec routing uniformly over `shards` static shards — the shape
-    /// used by tests and sinks without a rebalancer.
-    pub fn with_static_shards(tick_spec: TickSpec, use_entities: bool, shards: usize) -> Self {
-        PartitionSpec { tick_spec, use_entities, routing: SharedRouting::uniform(shards) }
-    }
-
-    /// The shard-store pool size of the current routing epoch (the bucket
-    /// count of batches partitioned now).
-    pub fn shards(&self) -> usize {
-        self.routing.snapshot().shard_count()
-    }
+    /// The consuming registry's shard-store pool size (the bucket count).
+    pub shards: usize,
 }
 
 /// One batch's pair observations, bucketed by pair shard.
@@ -62,11 +38,6 @@ pub struct PartitionedBatch {
     pub docs: usize,
     /// Total pair observations across all buckets.
     pub observations: usize,
-    /// The routing epoch the batch was bucketed under. Consumers compare
-    /// this against their registry's current epoch; a mismatch means a
-    /// rebalance migrated shard ownership after bucketing, and the batch
-    /// must be re-partitioned before application.
-    pub routing_epoch: u64,
 }
 
 impl PartitionedBatch {
@@ -118,31 +89,24 @@ pub fn for_each_pair(annotations: &[TagId], mut f: impl FnMut(u64)) {
 }
 
 /// Tokenizes and pairs `docs` once, bucketing every co-occurrence
-/// observation by its pair shard under the spec's *current* routing
-/// epoch (recorded in the returned batch).
+/// observation by its pair shard.
+///
+/// # Panics
+/// Panics if `spec.shards` is zero.
 pub fn partition_docs(docs: &[Document], spec: &PartitionSpec) -> PartitionedBatch {
-    partition_docs_routed(docs, spec, &spec.routing.snapshot())
-}
-
-/// [`partition_docs`] against an explicit routing snapshot (callers that
-/// already hold one avoid the handle read).
-pub fn partition_docs_routed(
-    docs: &[Document],
-    spec: &PartitionSpec,
-    table: &RoutingTable,
-) -> PartitionedBatch {
-    let mut buckets: Vec<Vec<(Tick, u64)>> = (0..table.shard_count()).map(|_| Vec::new()).collect();
+    assert!(spec.shards > 0, "shard count must be positive");
+    let mut buckets: Vec<Vec<(Tick, u64)>> = (0..spec.shards).map(|_| Vec::new()).collect();
     let mut observations = 0usize;
     let mut annotation_buf: Vec<TagId> = Vec::with_capacity(16);
     for doc in docs {
         let tick = spec.tick_spec.tick_of(doc.timestamp);
         let annotations = annotations_of(doc, spec.use_entities, &mut annotation_buf);
         for_each_pair(annotations, |packed| {
-            buckets[table.route(packed)].push((tick, packed));
+            buckets[shard_of_packed(packed, spec.shards)].push((tick, packed));
             observations += 1;
         });
     }
-    PartitionedBatch { buckets, docs: docs.len(), observations, routing_epoch: table.epoch() }
+    PartitionedBatch { buckets, docs: docs.len(), observations }
 }
 
 #[cfg(test)]
@@ -157,7 +121,7 @@ mod tests {
     }
 
     fn spec(shards: usize) -> PartitionSpec {
-        PartitionSpec::with_static_shards(TickSpec::hourly(), true, shards)
+        PartitionSpec { tick_spec: TickSpec::hourly(), use_entities: true, shards }
     }
 
     /// The reference observation stream: what a sequential feeder emits.
@@ -180,31 +144,14 @@ mod tests {
     fn buckets_respect_shard_routing() {
         let docs = vec![doc(1, 0, &[1, 2, 3]), doc(2, 1, &[4, 5]), doc(3, 1, &[1, 5, 9])];
         let s = spec(4);
-        let table = s.routing.snapshot();
         let batch = partition_docs(&docs, &s);
         assert_eq!(batch.docs, 3);
         assert_eq!(batch.observations, 3 + 1 + 3);
-        assert_eq!(batch.routing_epoch, 0, "uniform table is epoch 0");
         for (shard, bucket) in batch.buckets().iter().enumerate() {
             for &(_, packed) in bucket {
-                assert_eq!(table.route(packed), shard, "observation in the wrong bucket");
+                assert_eq!(shard_of_packed(packed, 4), shard, "observation in the wrong bucket");
             }
         }
-    }
-
-    #[test]
-    fn partitioning_follows_published_rebalances() {
-        // One hot document; move every slot to shard 1 and re-partition.
-        let docs = vec![doc(1, 0, &[1, 2])];
-        let s = spec(2);
-        let before = partition_docs(&docs, &s);
-        let table = s.routing.snapshot();
-        s.routing.publish(table.reassigned(vec![1; table.slot_count()]));
-        let after = partition_docs(&docs, &s);
-        assert_eq!(after.routing_epoch, 1);
-        assert_ne!(before.routing_epoch, after.routing_epoch, "stale batches are detectable");
-        assert!(after.buckets()[0].is_empty());
-        assert_eq!(after.buckets()[1].len(), 1, "all observations re-routed to shard 1");
     }
 
     #[test]
@@ -225,14 +172,13 @@ mod tests {
         let docs: Vec<Document> =
             (0..20).map(|i| doc(i, i / 5, &[(i % 7) as u32, (i % 3) as u32 + 10, 42])).collect();
         let s = spec(4);
-        let table = s.routing.snapshot();
         let batch = partition_docs(&docs, &s);
         let reference = sequential_observations(&docs, &s);
         for (shard, bucket) in batch.buckets().iter().enumerate() {
             let expected: Vec<(Tick, u64)> = reference
                 .iter()
                 .copied()
-                .filter(|&(_, packed)| table.route(packed) == shard)
+                .filter(|&(_, packed)| shard_of_packed(packed, 4) == shard)
                 .collect();
             assert_eq!(*bucket, expected, "shard {shard} order diverged");
         }

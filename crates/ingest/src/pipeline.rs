@@ -37,8 +37,7 @@ use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The machine's available parallelism (≥ 1) — the benched default for
-/// execution knobs like shard counts, shard-parallel close and ingest
-/// worker pools.
+/// execution knobs like shard counts and ingest worker pools.
 ///
 /// Resolved once per process: `std::thread::available_parallelism` reads
 /// cgroup files on every call, and shard fan-outs ask on every close.
@@ -436,7 +435,7 @@ mod tests {
     impl RecordingSink {
         fn new(shards: usize) -> Self {
             RecordingSink {
-                spec: PartitionSpec::with_static_shards(TickSpec::hourly(), true, shards),
+                spec: PartitionSpec { tick_spec: TickSpec::hourly(), use_entities: true, shards },
                 ops: Vec::new(),
                 observations: 0,
                 shard_state: vec![Vec::new(); shards],
@@ -452,7 +451,7 @@ mod tests {
 
         fn apply_batch(&mut self, docs: &[Document], partitioned: &PartitionedBatch) {
             assert_eq!(partitioned.docs, docs.len());
-            assert_eq!(partitioned.shard_count(), self.spec.shards());
+            assert_eq!(partitioned.shard_count(), self.spec.shards);
             self.observations += partitioned.observations;
             for (state, bucket) in self.shard_state.iter_mut().zip(partitioned.buckets()) {
                 state.extend_from_slice(bucket);

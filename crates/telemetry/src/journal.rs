@@ -1,6 +1,6 @@
 //! The bounded ring-buffer event journal.
 //!
-//! Pipeline milestones (tick closes, rebalances, evictions, checkpoint
+//! Pipeline milestones (tick closes, evictions, checkpoint
 //! writes and failures, ingest stalls, restores) are rare — per tick,
 //! not per document — so the journal trades the metric cells' atomics
 //! for one short mutexed critical section per event. The ring is
@@ -20,9 +20,6 @@ pub enum EventKind {
     /// A tick closed. `a` = tracked pairs after the close, `b` = ranked
     /// pairs emitted.
     TickClose,
-    /// The shard rebalancer moved load. `a` = migrated pairs, `b` =
-    /// active stores after the move.
-    Rebalance,
     /// Eviction ran at a tick close. `a` = pairs evicted this tick,
     /// `b` = tracked pairs remaining.
     Eviction,
@@ -57,7 +54,6 @@ impl EventKind {
     pub fn name(&self) -> &'static str {
         match self {
             EventKind::TickClose => "tick_close",
-            EventKind::Rebalance => "rebalance",
             EventKind::Eviction => "eviction",
             EventKind::CheckpointWrite => "checkpoint_write",
             EventKind::CheckpointFailure => "checkpoint_failure",

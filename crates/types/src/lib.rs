@@ -15,9 +15,8 @@
 //!   from §4.1 of the paper, extended with optional raw text (input to the
 //!   entity tagger) and interned content terms (input to the
 //!   relative-entropy correlation measures),
-//! * [`routing`] — the versioned slot → shard [`RoutingTable`] behind
-//!   dynamic shard rebalancing (the static assignment function is
-//!   [`shard_of_packed`]),
+//! * [`shard_of_packed`] — the fixed hash that assigns every pair key to
+//!   one of the registry's shard stores,
 //! * [`fxhash`] — a fast, DoS-unsafe hasher for id-keyed hot-path maps.
 //!
 //! # Example
@@ -47,7 +46,6 @@ pub mod error;
 pub mod fxhash;
 pub mod pair;
 pub mod ranking;
-pub mod routing;
 pub mod tag;
 pub mod time;
 
@@ -56,6 +54,5 @@ pub use error::EnBlogueError;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use pair::{shard_of_packed, TagPair};
 pub use ranking::RankingSnapshot;
-pub use routing::{RoutingTable, SharedRouting, DEFAULT_SLOTS_PER_SHARD};
 pub use tag::{DocId, TagId, TagInterner, TagKind};
 pub use time::{Tick, TickSpec, Timestamp};

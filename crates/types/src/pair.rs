@@ -86,14 +86,10 @@ impl TagPair {
         TagPair { lo: TagId((key >> 32) as u32), hi: TagId(key as u32) }
     }
 
-    /// The *static* hash assignment of this pair over `shards` buckets —
-    /// convenience for [`shard_of_packed`] on the packed key.
-    ///
-    /// This is plain hashing, **not** registry routing: the pair registry
-    /// routes through its versioned [`crate::RoutingTable`] (keys hash
-    /// onto a slot grid whose slots a rebalancer may re-target), so after
-    /// any rebalance this method does not name the store that owns the
-    /// pair's state. Consult the registry's routing handle for that.
+    /// The shard store of this pair in a pool of `shards` stores —
+    /// convenience for [`shard_of_packed`] on the packed key. The pair
+    /// registry and the partitioner route by the same function, so this
+    /// names the store that owns the pair's state.
     #[inline]
     pub fn shard(self, shards: usize) -> usize {
         shard_of_packed(self.packed(), shards)

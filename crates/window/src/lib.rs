@@ -35,7 +35,7 @@ pub mod stats;
 pub mod tick_series;
 pub mod topk;
 
-pub use counter::{KeyWindow, WindowedCounter};
+pub use counter::WindowedCounter;
 pub use decay::{DecayMemo, DecayValue};
 pub use hll::HyperLogLog;
 pub use ring::RingBuffer;

@@ -142,24 +142,4 @@ mod tests {
     fn zero_shards_panics() {
         let _: ShardedWindowedCounter<u32> = ShardedWindowedCounter::new(0, 2);
     }
-
-    #[test]
-    fn extract_and_merge_move_window_state_between_shards() {
-        // The migration recipe shard rebalancing uses: extract from the
-        // donor's counter, merge into the receiver's, via `shards_mut`.
-        let mut sharded: ShardedWindowedCounter<u64> = ShardedWindowedCounter::new(2, 3);
-        sharded.increment(0, Tick(0), 42);
-        sharded.increment(0, Tick(1), 42);
-        sharded.increment(0, Tick(1), 7);
-        sharded.advance_to(Tick(1));
-        let series = sharded.shards_mut()[0].extract_key(42).expect("live key");
-        sharded.shards_mut()[1].merge_key(42, &series);
-        assert_eq!(sharded.count(0, 42), 0);
-        assert_eq!(sharded.count(1, 42), 2, "counts preserved across the move");
-        assert_eq!(sharded.count(0, 7), 1, "unmoved keys stay put");
-        assert_eq!(sharded.total_events(), 3);
-        sharded.advance_to(Tick(3)); // tick 0 expires in the new home too
-        assert_eq!(sharded.count(1, 42), 1);
-        assert!(sharded.shards_mut()[0].extract_key(999).is_none(), "dead keys extract nothing");
-    }
 }

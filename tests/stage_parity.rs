@@ -2,11 +2,15 @@
 //! feeding, per-tick batch feeding and the parallel ingestion pipeline all
 //! drive the same `TickStage` implementation, so on one replay they must
 //! produce **identical** snapshot sequences — and the sharded pair
-//! registry must make shard count and shard-parallel close invisible in
-//! every ranking.
+//! registry must make shard count, and with it the shard-parallel apply
+//! and close, invisible in every ranking.
 
+use enblogue::core::pairs::{PARALLEL_APPLY_MIN_OBSERVATIONS, SERIAL_CLOSE_MAX_PAIRS};
 use enblogue::prelude::*;
 use enblogue_datagen::nyt::{NytArchive, NytConfig};
+use enblogue_datagen::zipf::Zipf;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn archive() -> NytArchive {
     NytArchive::generate(&NytConfig {
@@ -21,7 +25,8 @@ fn archive() -> NytArchive {
     })
 }
 
-fn config(shards: usize, parallel: bool) -> EnBlogueConfig {
+/// The NYT replay's knobs over a pool of `shards` stores.
+fn builder(shards: usize) -> enblogue::core::config::EnBlogueConfigBuilder {
     EnBlogueConfig::builder()
         .tick_spec(TickSpec::daily())
         .window_ticks(7)
@@ -29,9 +34,10 @@ fn config(shards: usize, parallel: bool) -> EnBlogueConfig {
         .min_seed_count(3)
         .top_k(10)
         .shards(shards)
-        .parallel_close(parallel)
-        .build()
-        .unwrap()
+}
+
+fn config(shards: usize) -> EnBlogueConfig {
+    builder(shards).build().unwrap()
 }
 
 /// One snapshot sequence via the stand-alone engine's replay driver.
@@ -56,8 +62,8 @@ fn tick_batch_snapshots(config: EnBlogueConfig, docs: &[Document]) -> Vec<Rankin
 #[test]
 fn per_doc_and_per_tick_feeding_agree_on_an_nyt_replay() {
     let archive = archive();
-    let from_engine = engine_snapshots(config(1, false), &archive.docs);
-    let from_tick_batches = tick_batch_snapshots(config(1, false), &archive.docs);
+    let from_engine = engine_snapshots(config(1), &archive.docs);
+    let from_tick_batches = tick_batch_snapshots(config(1), &archive.docs);
 
     assert!(!from_engine.is_empty(), "the replay must close ticks");
     assert!(
@@ -70,12 +76,9 @@ fn per_doc_and_per_tick_feeding_agree_on_an_nyt_replay() {
 #[test]
 fn shard_count_is_invisible_in_rankings() {
     let archive = archive();
-    let baseline = engine_snapshots(config(1, false), &archive.docs);
+    let baseline = engine_snapshots(config(1), &archive.docs);
     for shards in [4usize, 16] {
-        let serial = engine_snapshots(config(shards, false), &archive.docs);
-        assert_eq!(serial, baseline, "{shards} shards, serial close");
-        let parallel = engine_snapshots(config(shards, true), &archive.docs);
-        assert_eq!(parallel, baseline, "{shards} shards, parallel close");
+        assert_eq!(engine_snapshots(config(shards), &archive.docs), baseline, "{shards} shards");
     }
 }
 
@@ -84,12 +87,12 @@ fn sharded_tick_batches_match_unsharded_engine() {
     // The full cross product of the two axes: sharded state fed a tick at
     // a time against the classic single-map engine fed per document.
     let archive = archive();
-    let baseline = engine_snapshots(config(1, false), &archive.docs);
-    for (shards, parallel) in [(16usize, true), (4, true)] {
+    let baseline = engine_snapshots(config(1), &archive.docs);
+    for shards in [16usize, 4] {
         assert_eq!(
-            tick_batch_snapshots(config(shards, parallel), &archive.docs),
+            tick_batch_snapshots(config(shards), &archive.docs),
             baseline,
-            "tick batches, {shards} shards, parallel={parallel}"
+            "tick batches, {shards} shards"
         );
     }
 }
@@ -104,17 +107,17 @@ fn ingestion_mode_is_invisible_in_rankings() {
     let archive = archive();
 
     // (a) Sequential per-document feeding — the semantic reference.
-    let baseline = engine_snapshots(config(1, false), &archive.docs);
+    let baseline = engine_snapshots(config(1), &archive.docs);
     assert!(!baseline.is_empty());
     assert!(baseline.iter().any(|s| !s.ranked.is_empty()));
 
     // (b) Tick-slice feeding: `process_docs` takes the partitioned batch
     // fast path, one slice per tick.
-    assert_eq!(tick_batch_snapshots(config(4, true), &archive.docs), baseline, "tick slices");
+    assert_eq!(tick_batch_snapshots(config(4), &archive.docs), baseline, "tick slices");
 
     // (c) The parallel ingestion pipeline across the knob grid.
     for (batch_size, workers) in [(1usize, 1usize), (64, 2), (64, 8), (512, 4), (97, 3)] {
-        let mut engine = EnBlogueEngine::new(config(4, false));
+        let mut engine = EnBlogueEngine::new(config(4));
         let ingest = IngestConfig { batch_size, queue_depth: 4, workers };
         let (snapshots, stats) = engine.run_replay_ingest(&archive.docs, &ingest);
         assert_eq!(snapshots, baseline, "ingest batch={batch_size} workers={workers}");
@@ -122,72 +125,11 @@ fn ingestion_mode_is_invisible_in_rankings() {
         assert_eq!(stats.workers, workers);
     }
 
-    // Shard-parallel application on top of multi-worker partitioning.
-    let mut engine = EnBlogueEngine::new(config(16, true));
+    // A 16-store pool on top of multi-worker partitioning.
+    let mut engine = EnBlogueEngine::new(config(16));
     let ingest = IngestConfig { batch_size: 128, queue_depth: 8, workers: 4 };
     let (snapshots, _) = engine.run_replay_ingest(&archive.docs, &ingest);
-    assert_eq!(snapshots, baseline, "16 shards, parallel close, 4 ingest workers");
-}
-
-#[test]
-fn rebalancing_is_invisible_in_rankings() {
-    // The rebalancing contract: dynamic shard count + hot-slot migration
-    // are pure execution knobs. One replay, rankings byte-identical with
-    // rebalancing off (the static uniform table) and with an aggressive
-    // policy that rebalances every close — across shard pools, close
-    // modes, and ingest worker grids.
-    let archive = archive();
-    let baseline = engine_snapshots(config(1, false), &archive.docs);
-    assert!(!baseline.is_empty());
-    assert!(baseline.iter().any(|s| !s.ranked.is_empty()));
-
-    let aggressive = RebalanceConfig {
-        enabled: true,
-        slots_per_shard: 8,
-        target_pairs_per_shard: 64,
-        min_skew: 1.01,
-        cap_pressure: 0.5,
-        min_tracked_pairs: 1,
-        cooldown_ticks: 0,
-        min_active_shards: 1,
-    };
-    let rebalanced = |shards: usize, parallel: bool| {
-        EnBlogueConfig::builder()
-            .tick_spec(TickSpec::daily())
-            .window_ticks(7)
-            .seed_count(25)
-            .min_seed_count(3)
-            .top_k(10)
-            .shards(shards)
-            .parallel_close(parallel)
-            .rebalance(aggressive)
-            .build()
-            .unwrap()
-    };
-
-    for (shards, parallel) in [(4usize, false), (4, true), (16, false), (16, true)] {
-        let mut engine = EnBlogueEngine::new(rebalanced(shards, parallel));
-        let snapshots = engine.run_replay(&archive.docs);
-        assert_eq!(snapshots, baseline, "rebalancing on, shards={shards} parallel={parallel}");
-        let metrics = engine.pipeline().metrics();
-        assert!(
-            metrics.rebalances > 0,
-            "the aggressive policy must actually migrate (shards={shards})"
-        );
-        assert!(metrics.routing_epoch > 0);
-    }
-
-    // Rebalancing under the parallel ingestion pipeline: partition
-    // workers snapshot the routing table per batch, stale batches are
-    // re-partitioned — rankings still byte-identical.
-    for (batch_size, workers) in [(64usize, 2usize), (256, 4)] {
-        let mut engine = EnBlogueEngine::new(rebalanced(8, true));
-        let ingest = IngestConfig { batch_size, queue_depth: 4, workers };
-        let (snapshots, stats) = engine.run_replay_ingest(&archive.docs, &ingest);
-        assert_eq!(snapshots, baseline, "ingest batch={batch_size} workers={workers}");
-        assert_eq!(stats.docs, archive.docs.len() as u64);
-        assert!(engine.pipeline().metrics().rebalances > 0);
-    }
+    assert_eq!(snapshots, baseline, "16 shards, 4 ingest workers");
 }
 
 #[test]
@@ -195,74 +137,31 @@ fn scoring_mode_is_invisible_in_rankings() {
     // The batch-kernel contract: the lane-tiled batched close (the
     // default) and the scalar reference walk are the same computation
     // down to the bit pattern, so on one replay their snapshot sequences
-    // are byte-identical — across shard pools, close modes, an
-    // aggressive rebalancing policy, and the parallel-ingestion grid.
+    // are byte-identical — across shard pools and the parallel-ingestion
+    // grid.
     let archive = archive();
 
-    let with_scoring = |shards: usize, parallel: bool, scoring: ScoringMode| {
-        EnBlogueConfig::builder()
-            .tick_spec(TickSpec::daily())
-            .window_ticks(7)
-            .seed_count(25)
-            .min_seed_count(3)
-            .top_k(10)
-            .shards(shards)
-            .parallel_close(parallel)
-            .scoring_mode(scoring)
-            .build()
-            .unwrap()
+    let with_scoring = |shards: usize, scoring: ScoringMode| {
+        builder(shards).scoring_mode(scoring).build().unwrap()
     };
 
     // The scalar reference is the semantic baseline; `config()` leaves
     // the knob at its default, which must be the batched path.
-    assert_eq!(config(1, false).scoring_mode, ScoringMode::Batched, "batched is the default");
-    let baseline = engine_snapshots(with_scoring(1, false, ScoringMode::Scalar), &archive.docs);
+    assert_eq!(config(1).scoring_mode, ScoringMode::Batched, "batched is the default");
+    let baseline = engine_snapshots(with_scoring(1, ScoringMode::Scalar), &archive.docs);
     assert!(!baseline.is_empty());
     assert!(baseline.iter().any(|s| !s.ranked.is_empty()));
 
     for scoring in [ScoringMode::Scalar, ScoringMode::Batched] {
-        for (shards, parallel) in [(1usize, false), (4, false), (4, true), (16, true)] {
-            let snapshots =
-                engine_snapshots(with_scoring(shards, parallel, scoring), &archive.docs);
-            assert_eq!(
-                snapshots, baseline,
-                "scoring={scoring:?} shards={shards} parallel={parallel}"
-            );
+        for shards in [1usize, 4, 16] {
+            let snapshots = engine_snapshots(with_scoring(shards, scoring), &archive.docs);
+            assert_eq!(snapshots, baseline, "scoring={scoring:?} shards={shards}");
         }
     }
 
-    // Batched scoring composed with hot-slot rebalancing: tiles regroup
-    // as pairs migrate between stores, rankings untouched.
-    let aggressive = RebalanceConfig {
-        enabled: true,
-        slots_per_shard: 8,
-        target_pairs_per_shard: 64,
-        min_skew: 1.01,
-        cap_pressure: 0.5,
-        min_tracked_pairs: 1,
-        cooldown_ticks: 0,
-        min_active_shards: 1,
-    };
-    let mut engine = EnBlogueEngine::new(
-        EnBlogueConfig::builder()
-            .tick_spec(TickSpec::daily())
-            .window_ticks(7)
-            .seed_count(25)
-            .min_seed_count(3)
-            .top_k(10)
-            .shards(8)
-            .parallel_close(true)
-            .scoring_mode(ScoringMode::Batched)
-            .rebalance(aggressive)
-            .build()
-            .unwrap(),
-    );
-    assert_eq!(engine.run_replay(&archive.docs), baseline, "batched + aggressive rebalancing");
-    assert!(engine.pipeline().metrics().rebalances > 0, "the policy must actually migrate");
-
     // Batched scoring under the parallel ingestion pipeline.
     for (batch_size, workers) in [(64usize, 2usize), (256, 4)] {
-        let mut engine = EnBlogueEngine::new(with_scoring(4, true, ScoringMode::Batched));
+        let mut engine = EnBlogueEngine::new(with_scoring(4, ScoringMode::Batched));
         let ingest = IngestConfig { batch_size, queue_depth: 4, workers };
         let (snapshots, stats) = engine.run_replay_ingest(&archive.docs, &ingest);
         assert_eq!(snapshots, baseline, "batched ingest batch={batch_size} workers={workers}");
@@ -276,17 +175,17 @@ fn checkpoint_restore_tail_replay_is_invisible_in_rankings() {
     // replay, (a) periodic checkpointing changes no ranking, and (b)
     // checkpoint at a tick + restore into a fresh engine + replay of the
     // tail produces byte-identical snapshot sequences to the
-    // uninterrupted run — across shard pools, close modes, rebalance
-    // policies, and the parallel-ingestion worker grid.
+    // uninterrupted run — across shard pools and the parallel-ingestion
+    // worker grid.
     use enblogue::core::snapshot::checkpoint_file_name;
 
     let archive = archive();
-    let baseline = engine_snapshots(config(1, false), &archive.docs);
+    let baseline = engine_snapshots(config(1), &archive.docs);
     assert!(!baseline.is_empty());
     assert!(baseline.iter().any(|s| !s.ranked.is_empty()));
 
     // Checkpoints land at ticks 9/19/29/39 (every 10th close); resume
-    // from tick 29 so the tail spans real work, rebalances included.
+    // from tick 29 so the tail spans real work.
     let split = Tick(29);
     let split_at = baseline.iter().position(|s| s.tick == split).expect("tick 29 closes") + 1;
     let tail_from = archive
@@ -295,47 +194,15 @@ fn checkpoint_restore_tail_replay_is_invisible_in_rankings() {
         .position(|d| TickSpec::daily().tick_of(d.timestamp) > split)
         .expect("documents after the split");
 
-    let aggressive = RebalanceConfig {
-        enabled: true,
-        slots_per_shard: 8,
-        target_pairs_per_shard: 64,
-        min_skew: 1.01,
-        cap_pressure: 0.5,
-        min_tracked_pairs: 1,
-        cooldown_ticks: 0,
-        min_active_shards: 1,
-    };
-    let build = |shards: usize, parallel: bool, rebalance: Option<RebalanceConfig>| {
-        let mut builder = EnBlogueConfig::builder()
-            .tick_spec(TickSpec::daily())
-            .window_ticks(7)
-            .seed_count(25)
-            .min_seed_count(3)
-            .top_k(10)
-            .shards(shards)
-            .parallel_close(parallel);
-        if let Some(rebalance) = rebalance {
-            builder = builder.rebalance(rebalance);
-        }
-        builder
-    };
-
-    let grid = [
-        ("1-serial-static", 1usize, false, None),
-        ("4-parallel-rebalancing", 4, true, Some(aggressive)),
-        ("16-serial-rebalancing", 16, false, Some(aggressive)),
-        ("16-parallel-static", 16, true, None),
-    ];
-    for (name, shards, parallel, rebalance) in grid {
+    for shards in [1usize, 4, 16] {
+        let name = format!("{shards}-stores");
         let dir =
             std::env::temp_dir().join(format!("enblogue-parity-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
         // (a) The checkpointing run itself: rankings untouched.
-        let checkpointing = build(shards, parallel, rebalance)
-            .snapshot_every(10, dir.to_str().unwrap())
-            .build()
-            .unwrap();
+        let checkpointing =
+            builder(shards).snapshot_every(10, dir.to_str().unwrap()).build().unwrap();
         let mut engine = EnBlogueEngine::new(checkpointing);
         assert_eq!(engine.run_replay(&archive.docs), baseline, "{name}: checkpointing run");
         assert!(engine.metrics().snapshots_taken >= 4, "{name}: checkpoints written");
@@ -344,17 +211,11 @@ fn checkpoint_restore_tail_replay_is_invisible_in_rankings() {
         // (b) Restore from the mid-stream checkpoint and replay the tail.
         // The resume config omits the snapshot section entirely — only
         // the knobs that shape state are fingerprinted.
-        let resume_config = build(shards, parallel, rebalance).build().unwrap();
+        let resume_config = config(shards);
         let file = dir.join(checkpoint_file_name(split));
         let mut resumed = EnBlogueEngine::resume(resume_config.clone(), &file).unwrap();
         assert_eq!(resumed.metrics().restores, 1, "{name}");
         assert_eq!(resumed.metrics().ticks_closed, split_at as u64, "{name}: cursor restored");
-        if rebalance.is_some() {
-            assert!(
-                resumed.metrics().routing_epoch > 0,
-                "{name}: the routing epoch must survive the restore"
-            );
-        }
         let tail = resumed.run_replay(&archive.docs[tail_from..]);
         assert_eq!(tail, baseline[split_at..], "{name}: tail replay after restore");
 
@@ -380,33 +241,22 @@ fn checkpoint_restore_tail_replay_is_invisible_in_rankings() {
 fn telemetry_is_invisible_in_rankings() {
     // The observability contract: telemetry is a pure execution knob. One
     // replay, rankings byte-identical with the hub enabled (the default)
-    // and fully disabled — including under sharding + parallel close,
-    // where the per-shard close histograms record from fan-out workers.
+    // and fully disabled — including under sharding, where the per-shard
+    // close histograms record from fan-out workers.
     let archive = archive();
-    let with_telemetry = |shards: usize, parallel: bool, enabled: bool| {
-        EnBlogueConfig::builder()
-            .tick_spec(TickSpec::daily())
-            .window_ticks(7)
-            .seed_count(25)
-            .min_seed_count(3)
-            .top_k(10)
-            .shards(shards)
-            .parallel_close(parallel)
-            .telemetry_enabled(enabled)
-            .build()
-            .unwrap()
-    };
+    let with_telemetry =
+        |shards: usize, enabled: bool| builder(shards).telemetry_enabled(enabled).build().unwrap();
 
-    assert!(config(1, false).telemetry.enabled, "telemetry is on by default");
-    let baseline = engine_snapshots(with_telemetry(1, false, false), &archive.docs);
+    assert!(config(1).telemetry.enabled, "telemetry is on by default");
+    let baseline = engine_snapshots(with_telemetry(1, false), &archive.docs);
     assert!(!baseline.is_empty());
     assert!(baseline.iter().any(|s| !s.ranked.is_empty()));
 
-    for (shards, parallel) in [(1usize, false), (4, true), (16, true)] {
+    for shards in [1usize, 4, 16] {
         for enabled in [false, true] {
-            let mut engine = EnBlogueEngine::new(with_telemetry(shards, parallel, enabled));
+            let mut engine = EnBlogueEngine::new(with_telemetry(shards, enabled));
             let snapshots = engine.run_replay(&archive.docs);
-            assert_eq!(snapshots, baseline, "telemetry={enabled} shards={shards} par={parallel}");
+            assert_eq!(snapshots, baseline, "telemetry={enabled} shards={shards}");
 
             let telemetry = engine.telemetry();
             assert_eq!(telemetry.enabled(), enabled);
@@ -428,8 +278,8 @@ fn telemetry_is_invisible_in_rankings() {
 
     // Timing views derive from the hub: populated when it is on, zero —
     // but never affecting metrics equality — when it is off.
-    let mut on = EnBlogueEngine::new(with_telemetry(4, true, true));
-    let mut off = EnBlogueEngine::new(with_telemetry(4, true, false));
+    let mut on = EnBlogueEngine::new(with_telemetry(4, true));
+    let mut off = EnBlogueEngine::new(with_telemetry(4, false));
     assert_eq!(on.run_replay(&archive.docs), off.run_replay(&archive.docs));
     assert!(on.metrics().timings.close_score_micros > 0 || on.metrics().ticks_closed == 0);
     assert_eq!(off.metrics().timings, enblogue::core::stages::EngineTimings::default());
@@ -439,7 +289,7 @@ fn telemetry_is_invisible_in_rankings() {
 #[test]
 fn batched_ingestion_matches_streamed_ingestion() {
     let archive = archive();
-    let cfg = config(4, false);
+    let cfg = config(4);
     let spec = cfg.tick_spec;
 
     // Batched: hand each tick's slice to `process_docs`, then close —
@@ -471,14 +321,7 @@ fn batched_ingestion_matches_streamed_ingestion() {
 
 /// The same NYT knobs with the event-time robustness layer switched on.
 fn hardened_config(event: bool, guard: bool) -> EnBlogueConfig {
-    let mut builder = EnBlogueConfig::builder()
-        .tick_spec(TickSpec::daily())
-        .window_ticks(7)
-        .seed_count(25)
-        .min_seed_count(3)
-        .top_k(10)
-        .shards(4)
-        .parallel_close(false);
+    let mut builder = builder(4);
     if event {
         builder = builder.bounded_lateness(3);
     }
@@ -502,7 +345,7 @@ fn event_time_layer_is_invisible_on_clean_input() {
     // both changes nothing — rankings stay byte-identical, and no drop
     // counter moves.
     let archive = archive();
-    let baseline = engine_snapshots(config(4, false), &archive.docs);
+    let baseline = engine_snapshots(config(4), &archive.docs);
     for (event, guard) in [(true, false), (false, true), (true, true)] {
         let mut engine = EnBlogueEngine::new(hardened_config(event, guard));
         let snapshots = engine.run_replay(&archive.docs);
@@ -537,4 +380,105 @@ fn event_time_batched_ingest_matches_serial_offering() {
 
     assert_eq!(from_batched, from_serial);
     assert_eq!(batched.metrics(), serial.metrics());
+}
+
+/// A Zipf-tagged stream wide enough that every multi-store path fans out:
+/// `ticks` hourly ticks of `docs_per_tick` documents, each carrying
+/// `tags_per_doc` distinct tags drawn from a Zipf(0.8) law over `tags`
+/// tags.
+fn zipf_docs(ticks: u64, docs_per_tick: usize, tags: usize, tags_per_doc: usize) -> Vec<Document> {
+    let zipf = Zipf::new(tags, 0.8);
+    let mut rng = StdRng::seed_from_u64(0x2A_F0F0);
+    let mut docs = Vec::with_capacity(ticks as usize * docs_per_tick);
+    for tick in 0..ticks {
+        for _ in 0..docs_per_tick {
+            let mut doc_tags: Vec<TagId> = Vec::with_capacity(tags_per_doc);
+            while doc_tags.len() < tags_per_doc {
+                let tag = TagId(zipf.sample(&mut rng) as u32);
+                if !doc_tags.contains(&tag) {
+                    doc_tags.push(tag);
+                }
+            }
+            let id = docs.len() as u64;
+            docs.push(Document::builder(id, Timestamp::from_hours(tick)).tags(doc_tags).build());
+        }
+    }
+    docs
+}
+
+/// The engine's ingest sink, recording the largest batch it applied.
+struct BatchProbe<'p> {
+    sink: ReplayIngest<'p>,
+    max_observations: usize,
+}
+
+impl IngestSink for BatchProbe<'_> {
+    fn partition_spec(&self) -> PartitionSpec {
+        self.sink.partition_spec()
+    }
+
+    fn apply_batch(&mut self, docs: &[Document], partitioned: &PartitionedBatch) {
+        self.max_observations = self.max_observations.max(partitioned.observations);
+        self.sink.apply_batch(docs, partitioned);
+    }
+
+    fn close_through(&mut self, tick: Tick) {
+        self.sink.close_through(tick);
+    }
+}
+
+#[test]
+fn fanned_out_apply_and_close_are_invisible_in_rankings() {
+    // With more than one store, the registry fans the apply out from
+    // `PARALLEL_APPLY_MIN_OBSERVATIONS` observations per batch and the
+    // close from `SERIAL_CLOSE_MAX_PAIRS` tracked pairs. This stream
+    // crosses both thresholds, so 4 and 16 stores run the fanned-out
+    // paths, while 1 store runs everything serially.
+    let docs = zipf_docs(8, 400, 300, 6);
+    let config = |shards: usize| {
+        EnBlogueConfig::builder()
+            .tick_spec(TickSpec::hourly())
+            .window_ticks(6)
+            .seed_count(100)
+            .min_seed_count(1)
+            .min_pair_support(1)
+            .top_k(20)
+            .shards(shards)
+            .build()
+            .unwrap()
+    };
+    let ingest = IngestConfig { batch_size: 256, queue_depth: 4, workers: 2 };
+
+    // The close threshold: at least two closes end at or above it, so the
+    // later one discovers, scores and evicts fanned out.
+    let mut stepped = StagePipeline::new(config(16));
+    let mut baseline = Vec::new();
+    let mut crowded_closes = 0;
+    for slice in docs.chunk_by(|a, b| a.timestamp == b.timestamp) {
+        stepped.process_docs(slice);
+        baseline.push(stepped.close_tick(TickSpec::hourly().tick_of(slice[0].timestamp)));
+        if stepped.metrics().pairs_tracked >= SERIAL_CLOSE_MAX_PAIRS {
+            crowded_closes += 1;
+        }
+    }
+    assert!(crowded_closes >= 2, "only {crowded_closes} closes reached the fan-out threshold");
+    assert!(baseline.iter().any(|s| !s.ranked.is_empty()), "the stream must rank pairs");
+
+    // The apply threshold, observed at the sink of the ingestion pipeline.
+    let mut pipeline = StagePipeline::new(config(16));
+    let mut probe = BatchProbe { sink: ReplayIngest::new(&mut pipeline), max_observations: 0 };
+    IngestPipeline::new(ingest.clone()).run(&mut probe, &docs);
+    assert!(
+        probe.max_observations >= PARALLEL_APPLY_MIN_OBSERVATIONS,
+        "largest applied batch holds only {} observations",
+        probe.max_observations
+    );
+    assert_eq!(probe.sink.into_snapshots(), baseline, "16 stores, probed ingest");
+
+    for shards in [1usize, 4, 16] {
+        let replayed = EnBlogueEngine::new(config(shards)).run_replay(&docs);
+        assert_eq!(replayed, baseline, "run_replay, {shards} stores");
+        let (ingested, _) = EnBlogueEngine::new(config(shards)).run_replay_ingest(&docs, &ingest);
+        assert_eq!(ingested, baseline, "run_replay_ingest, {shards} stores");
+    }
 }
