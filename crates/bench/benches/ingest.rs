@@ -4,10 +4,22 @@
 //! and batch size (1/64/512 at the machine's worker default). Rankings
 //! are identical in every configuration (pinned by
 //! `tests/stage_parity.rs`), so the rows differ only in docs/sec.
+//!
+//! A third group, `apply`, times the registry apply alone: one warm,
+//! pre-partitioned batch of counted runs, at 256 documents (≈ 1.2k runs,
+//! below `FANOUT_MIN_ITEMS`) and at one whole 10k-document tick (≈ 27k
+//! runs, above), into 1 vs 2 stores. On a multi-core box the 2-store
+//! tick row is the fanned-out apply and every other row is serial; the
+//! per-run cost of the serial rows against the spawn cost the fanned-out
+//! row saves is what places the threshold.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
+use enblogue::core::pairs::ShardedPairRegistry;
 use enblogue::datagen::nyt::{NytArchive, NytConfig};
+use enblogue::datagen::zipf::Zipf;
 use enblogue::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 
 fn archive() -> NytArchive {
@@ -78,5 +90,49 @@ fn bench_ingest_batch_size(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ingest_workers, bench_ingest_batch_size);
+/// One `replay-zipf`-shaped tick: `docs` documents of 4 distinct tags
+/// drawn from a Zipf(1.1) law over 3 000 tags.
+fn zipf_tick(docs: usize) -> Vec<Document> {
+    let zipf = Zipf::new(3_000, 1.1);
+    let mut rng = StdRng::seed_from_u64(0x00A9_9171);
+    (0..docs as u64)
+        .map(|id| {
+            let mut tags: Vec<TagId> = Vec::with_capacity(4);
+            while tags.len() < 4 {
+                let tag = TagId(zipf.sample(&mut rng) as u32);
+                if !tags.contains(&tag) {
+                    tags.push(tag);
+                }
+            }
+            Document::builder(id, Timestamp::from_hours(0)).tags(tags).build()
+        })
+        .collect()
+}
+
+fn bench_apply(c: &mut Criterion) {
+    let tick = zipf_tick(10_000);
+    let mut group = c.benchmark_group("apply");
+    group.sample_size(50);
+    for (label, docs) in [("batch256", &tick[..256]), ("tick", &tick[..])] {
+        group.throughput(Throughput::Elements(docs.len() as u64));
+        for stores in [1usize, 2] {
+            let spec = PartitionSpec {
+                tick_spec: TickSpec::hourly(),
+                use_entities: false,
+                shards: stores,
+            };
+            let batch = partition_docs(docs, &spec);
+            // Warm: every key already holds a counter lane and every
+            // candidate set its capacity, as mid-tick in a replay.
+            let mut registry = ShardedPairRegistry::new(stores, 6, Timestamp::DAY, 1, 200_000);
+            registry.ingest_partitioned(batch.buckets());
+            group.bench_with_input(BenchmarkId::new(label, stores), &batch, |b, batch| {
+                b.iter(|| registry.ingest_partitioned(black_box(batch.buckets())));
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_ingest_workers, bench_ingest_batch_size, bench_apply);
 criterion_main!(benches);

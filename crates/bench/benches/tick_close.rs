@@ -3,7 +3,7 @@
 //! A warm engine (populated window, hundreds of tracked pairs) closes its
 //! newest tick under shard counts 1/4/16. The single-shard row is the
 //! pre-sharding baseline; with more stores the close fans out once the
-//! registry reaches `SERIAL_CLOSE_MAX_PAIRS`. Rankings are identical in
+//! registry reaches `FANOUT_MIN_ITEMS` pairs. Rankings are identical in
 //! every configuration (pinned by `tests/stage_parity.rs`), so the rows
 //! differ only in wall time.
 

@@ -25,7 +25,7 @@
 //! are visited in, and how the loops are tiled. The sweep covers
 //! live-pair count (1k / 33k / 133k) × shard count, multi-store rows
 //! fan the close out (the registry keeps populations below
-//! `SERIAL_CLOSE_MAX_PAIRS` on a serial walk), and `BENCH_close.json`
+//! `FANOUT_MIN_ITEMS` on a serial walk), and `BENCH_close.json`
 //! records pairs/sec closed per row plus two ratio families: layout
 //! (best slab over legacy) and scoring (best batched over best scalar).
 //!
@@ -243,7 +243,7 @@ struct Row {
 /// cycle of the measured span. Ingest (the observation loop) stays
 /// outside the timer — the close path is what this PR optimises.
 /// Multi-store slab rows fan the close out once the registry's
-/// `SERIAL_CLOSE_MAX_PAIRS` threshold is crossed, exactly as in
+/// `FANOUT_MIN_ITEMS` threshold is crossed, exactly as in
 /// production.
 fn run(
     layout: &'static str,

@@ -338,7 +338,7 @@ pub struct EnBlogueConfig {
     /// is pure state partitioning — rankings are identical for any pool
     /// size — but with more than one store the apply and the tick close
     /// fan out one worker per store once the work is large enough (see
-    /// [`crate::pairs::SERIAL_CLOSE_MAX_PAIRS`]), and per-store maps stay
+    /// [`crate::pairs::FANOUT_MIN_ITEMS`]), and per-store maps stay
     /// smaller. 1 = the classic single-map registry.
     pub shards: usize,
     /// Partitioning worker threads for batched ingestion

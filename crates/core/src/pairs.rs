@@ -20,10 +20,12 @@
 //! knob, never a semantic one (pinned by `tests/stage_parity.rs`).
 
 use crate::exec::fanout;
+pub use crate::exec::FANOUT_MIN_ITEMS;
 use crate::query::ViewData;
 use crate::slab::PairSlab;
 pub use crate::slab::PairState;
 use crate::snapshot::{corrupt, SnapReader, SnapWriter};
+use enblogue_ingest::PairRun;
 use enblogue_stats::predict::{HistoryTile, SeriesView, LANES};
 use enblogue_stats::shift::ShiftScorer;
 use enblogue_telemetry::{EventKind, Histogram, Journal, Telemetry};
@@ -59,21 +61,6 @@ impl ScoringMode {
         }
     }
 }
-
-/// Below this many live pairs the tick close runs serially.
-///
-/// Spawning per-store close workers costs more than the walk they would
-/// parallelise on a small registry (the BENCH_close.json 1k-pair rows:
-/// fanned-out closes ran ~30% *slower* than one store). The threshold is
-/// deliberately coarse — at 4096 pairs a serial close is tens of
-/// microseconds, far below a thread spawn's worth of work per store. A
-/// pure execution threshold: it changes scheduling, never results.
-pub const SERIAL_CLOSE_MAX_PAIRS: usize = 4096;
-
-/// Below this many pair observations a batch is applied serially: a
-/// thread scope costs more than the apply loop it would split. A pure
-/// execution threshold, like [`SERIAL_CLOSE_MAX_PAIRS`].
-pub const PARALLEL_APPLY_MIN_OBSERVATIONS: usize = 512;
 
 /// Relative weight of one tracked pair against one window observation
 /// when a store's load is summarised as `observations + weight · pairs`
@@ -482,38 +469,31 @@ impl ShardedPairRegistry {
         self.shards[shard].current.insert(packed);
     }
 
-    /// Applies a shard-partitioned batch of co-occurrence observations,
-    /// one scoped worker per shard once the batch holds
-    /// [`PARALLEL_APPLY_MIN_OBSERVATIONS`].
+    /// Applies a shard-partitioned batch of counted co-occurrence runs:
+    /// one windowed-counter add and one candidate insert per run, one
+    /// scoped worker per shard once the batch holds [`FANOUT_MIN_ITEMS`]
+    /// runs.
     ///
-    /// `buckets[i]` must hold exactly the observations routed to shard `i`
-    /// (see `enblogue_ingest::partition`), in stream order — then each
-    /// worker performs the same writes, in the same order, that a
-    /// sequential [`ShardedPairRegistry::observe_pair`] loop would have
-    /// sent to its shard, so results are identical serial or fanned out.
+    /// `buckets[i]` must hold exactly the runs routed to shard `i`, sorted
+    /// by tick (see `enblogue_ingest::partition`) — then each shard's
+    /// counter advances through the same ticks and ends with the same
+    /// per-column counts that a sequential
+    /// [`ShardedPairRegistry::observe_pair`] loop would have left, and the
+    /// same discovery candidates, so results are identical serial or
+    /// fanned out.
     ///
     /// # Panics
     /// Panics if `buckets` does not match the shard count.
-    pub fn ingest_partitioned(&mut self, buckets: &[Vec<(Tick, u64)>]) {
-        /// One shard's slice of an ingest fan-out: its pair states, its
-        /// windowed counter, and the observations routed to it.
-        type ShardWork<'a> = (&'a mut PairShard, &'a mut WindowedCounter<u64>, &'a [(Tick, u64)]);
+    pub fn ingest_partitioned(&mut self, buckets: &[Vec<PairRun>]) {
         assert_eq!(buckets.len(), self.shards.len(), "bucket count must match shard count");
-        let observations: usize = buckets.iter().map(Vec::len).sum();
-        let parallel = observations >= PARALLEL_APPLY_MIN_OBSERVATIONS;
+        let runs: usize = buckets.iter().map(Vec::len).sum();
         // Zip each pair shard with its windowed counter so one worker owns
         // both halves of a shard's state.
-        let mut work: Vec<ShardWork<'_>> = self
-            .shards
-            .iter_mut()
-            .zip(self.counts.shards_mut().iter_mut())
-            .zip(buckets.iter())
-            .map(|((shard, counter), bucket)| (shard, counter, bucket.as_slice()))
-            .collect();
-        fanout(&mut work, parallel, |_, (shard, counter, bucket)| {
-            for &(tick, packed) in bucket.iter() {
-                counter.increment(tick, packed);
-                shard.current.insert(packed);
+        let work = self.shards.iter_mut().zip(self.counts.shards_mut().iter_mut()).zip(buckets);
+        fanout(work, runs, |_, ((shard, counter), bucket)| {
+            for run in bucket {
+                counter.add(run.tick, run.key, run.count);
+                shard.current.insert(run.key);
             }
         });
     }
@@ -547,11 +527,11 @@ impl ShardedPairRegistry {
     }
 
     /// Promotes this tick's co-occurrence candidates that contain a seed
-    /// into tracked pairs, shard-parallel from [`SERIAL_CLOSE_MAX_PAIRS`]
+    /// into tracked pairs, shard-parallel from [`FANOUT_MIN_ITEMS`]
     /// tracked pairs on.
     pub fn discover_seeded(&mut self, seeds: &FxHashSet<TagId>, tick: Tick, backfill_zeros: usize) {
-        let parallel = self.close_parallel();
-        fanout(&mut self.shards, parallel, |_, shard| {
+        let live = self.len();
+        fanout(&mut self.shards, live, |_, shard| {
             // Detach the candidate set so discovery can mutate the shard
             // while iterating it, then hand it back cleared — no
             // drain-into-a-fresh-`Vec` round-trip, and the set keeps its
@@ -592,8 +572,7 @@ impl ShardedPairRegistry {
     }
 
     /// Runs the correlation + shift-scoring update over every tracked
-    /// pair, shard-parallel from [`SERIAL_CLOSE_MAX_PAIRS`] tracked pairs
-    /// on.
+    /// pair, shard-parallel from [`FANOUT_MIN_ITEMS`] tracked pairs on.
     ///
     /// `correlate` maps `(pair, windowed co-occurrence count)` to this
     /// tick's correlation value; it must be a pure function of its inputs
@@ -606,10 +585,10 @@ impl ShardedPairRegistry {
     where
         C: Fn(TagPair, u64) -> f64 + Sync,
     {
-        let parallel = self.close_parallel();
+        let live = self.len();
         let counts = &self.counts;
         let correlate = &correlate;
-        fanout(&mut self.shards, parallel, |index, shard| {
+        fanout(&mut self.shards, live, |index, shard| {
             // Each worker times its own walk into its shard's handle —
             // no cross-shard sharing, and a single branch when disabled.
             let started = shard.close_ns.enabled().then(std::time::Instant::now);
@@ -639,23 +618,15 @@ impl ShardedPairRegistry {
         });
     }
 
-    /// Whether a close phase fans out over the stores: only from
-    /// [`SERIAL_CLOSE_MAX_PAIRS`] live pairs on, where per-store workers
-    /// pay for themselves (`fanout` keeps a 1-store pool serial anyway).
-    /// Execution only; results are identical either way.
-    fn close_parallel(&self) -> bool {
-        self.len() >= SERIAL_CLOSE_MAX_PAIRS
-    }
-
     /// Evicts pairs without support for a full history window (per shard,
     /// shard-parallel like the scoring walk) and enforces the global
     /// tracked-pair cap (lowest current scores go first). Returns the
     /// number evicted.
     pub fn evict(&mut self, tick: Tick, now: Timestamp) -> usize {
-        let parallel = self.close_parallel();
+        let live = self.len();
         let evicted_before = self.evicted_total();
         let horizon = self.params.history_len as u64;
-        fanout(&mut self.shards, parallel, |_, shard| {
+        fanout(&mut self.shards, live, |_, shard| {
             for slot in 0..shard.slab.slot_bound() {
                 if shard.slab.is_live(slot)
                     && tick.since(shard.slab.last_support_at(slot)) >= horizon
@@ -1232,33 +1203,58 @@ mod tests {
 
     #[test]
     fn ingest_partitioned_matches_observe_pair() {
+        use enblogue_ingest::partition::{annotations_of, for_each_pair, partition_docs};
+        use enblogue_ingest::PartitionSpec;
+        use enblogue_types::{Document, TickSpec};
+
         let shards = 4usize;
-        // Enough observations that the partitioned apply fans out.
-        let observations: Vec<(Tick, u64)> = (0..PARALLEL_APPLY_MIN_OBSERVATIONS as u64 + 100)
-            .map(|i| (Tick(i / 200), pair((i % 7) as u32, (i % 5) as u32 + 10).packed()))
+        // Four hourly ticks of five-tag documents; every ninth document
+        // is an hour late, so runs carry raised ticks, and the second
+        // batch starts behind the counters' newest tick.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let docs: Vec<Document> = (0..2400u64)
+            .map(|i| {
+                let h = i / 600;
+                let h = if i % 9 == 4 { h.saturating_sub(1) } else { h };
+                let tags = (0..5).map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    TagId((state % 150) as u32)
+                });
+                Document::builder(i, hour(h)).tags(tags).build()
+            })
             .collect();
+        let spec = PartitionSpec { tick_spec: TickSpec::hourly(), use_entities: true, shards };
+        let batches = [&docs[..1300], &docs[1300..]];
         let run = |partitioned: bool| {
-            let mut r = ShardedPairRegistry::new(shards, 6, Timestamp::DAY, 1, 1000);
-            if partitioned {
-                let mut buckets: Vec<Vec<(Tick, u64)>> = vec![Vec::new(); shards];
-                for &(tick, packed) in &observations {
-                    buckets[shard_of_packed(packed, shards)].push((tick, packed));
-                }
-                r.ingest_partitioned(&buckets);
-            } else {
-                for &(tick, packed) in &observations {
-                    r.observe_pair(tick, packed);
+            let mut r = ShardedPairRegistry::new(shards, 6, Timestamp::DAY, 1, 100_000);
+            for batch in batches {
+                if partitioned {
+                    let partitioned = partition_docs(batch, &spec);
+                    let runs: usize = partitioned.buckets().iter().map(Vec::len).sum();
+                    assert!(runs >= FANOUT_MIN_ITEMS, "only {runs} runs: the apply stays serial");
+                    r.ingest_partitioned(partitioned.buckets());
+                } else {
+                    let mut buf = Vec::new();
+                    for doc in batch {
+                        let tick = spec.tick_spec.tick_of(doc.timestamp);
+                        for_each_pair(annotations_of(doc, true, &mut buf), |key| {
+                            r.observe_pair(tick, key);
+                        });
+                    }
                 }
             }
+            let open = r.snapshot_bytes();
             // Promote everything so the counted state becomes observable.
-            let seeds: FxHashSet<TagId> = (0..20u32).map(TagId).collect();
-            r.discover_seeded(&seeds, Tick(2), 0);
+            let seeds: FxHashSet<TagId> = (0..150u32).map(TagId).collect();
+            r.discover_seeded(&seeds, Tick(3), 0);
             let counts: Vec<u64> =
                 r.tracked_keys().iter().map(|&k| r.pair_count(TagPair::from_packed(k))).collect();
-            (r.tracked_keys(), counts)
+            (open, r.tracked_keys(), counts, r.snapshot_bytes())
         };
         let sequential = run(false);
-        assert!(!sequential.0.is_empty());
+        assert!(sequential.1.len() > FANOUT_MIN_ITEMS);
         assert_eq!(run(true), sequential, "partitioned");
     }
 
@@ -1266,7 +1262,7 @@ mod tests {
     #[should_panic(expected = "bucket count")]
     fn ingest_partitioned_rejects_wrong_bucket_count() {
         let mut r = ShardedPairRegistry::new(4, 4, Timestamp::DAY, 1, 1000);
-        let buckets: Vec<Vec<(Tick, u64)>> = vec![Vec::new(); 3];
+        let buckets: Vec<Vec<PairRun>> = vec![Vec::new(); 3];
         r.ingest_partitioned(&buckets);
     }
 

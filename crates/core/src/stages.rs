@@ -1312,8 +1312,8 @@ impl StagePipeline {
     /// document — no tick is closed, and rankings are byte-identical for
     /// any batch split. Internally this is the batch fast path: the slice
     /// is tokenized and pair-partitioned once
-    /// ([`enblogue_ingest::partition::partition_docs`]) and the
-    /// observations are applied to the sharded registry in one pass —
+    /// ([`enblogue_ingest::partition::partition_docs`]) into counted runs,
+    /// which are applied to the sharded registry in one pass —
     /// shard-parallel when the registry has several stores and the batch
     /// is large enough.
     pub fn process_docs(&mut self, docs: &[Document]) {
@@ -1344,12 +1344,13 @@ impl StagePipeline {
     /// partitioning ran on a worker thread).
     ///
     /// Window bookkeeping (seeds, document volume, term distributions)
-    /// runs per document in stream order; the pre-bucketed pair
-    /// observations are applied to the registry in one fan-out, one worker
-    /// per shard from [`crate::pairs::PARALLEL_APPLY_MIN_OBSERVATIONS`] on.
-    /// Equivalent to per-document feeding for any shard count, serial or
-    /// fanned out: per-shard write order is exactly the sequential
-    /// subsequence, and no close-phase reader runs until the tick closes.
+    /// runs per document in stream order; the pre-bucketed counted runs
+    /// are applied to the registry in one pass, one worker per shard from
+    /// [`crate::pairs::FANOUT_MIN_ITEMS`] runs on. Equivalent to
+    /// per-document feeding for any shard count, serial or fanned out:
+    /// each shard's runs add up to the same per-tick counts the sequential
+    /// subsequence writes, and no close-phase reader runs until the tick
+    /// closes.
     ///
     /// # Panics
     /// Panics if `partitioned` was built for a different document slice or

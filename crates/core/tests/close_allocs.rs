@@ -5,20 +5,22 @@
 //! binary's global allocator; its counters are process-global, so this
 //! file holds exactly one `#[test]` — all scenarios run inside it, with
 //! the measured sections on the test thread and serial close (a parallel
-//! fan-out allocates thread stacks by design; the populations here stay
-//! below `SERIAL_CLOSE_MAX_PAIRS`, so every close runs serially).
+//! fan-out allocates thread stacks by design; the populations and batches
+//! here stay below `FANOUT_MIN_ITEMS`, so every phase runs serially).
 //!
 //! Scope: the registry close cycle — window advance, seeded discovery
 //! over the open-tick candidates, shift scoring across every tracked
 //! pair, and eviction. Ranking *emission* is excluded: it returns a
 //! freshly built `Vec` by contract. Ingest of previously seen keys is
-//! also covered (lanes and candidate sets retain their capacity), as is
+//! also covered (lanes and candidate sets retain their capacity), both
+//! per observation and as a pre-partitioned batch of counted runs, as is
 //! the seed tracker's dense tag-count refresh.
 
-use enblogue_core::pairs::{ScoringMode, ShardedPairRegistry};
+use enblogue_core::pairs::{ScoringMode, ShardedPairRegistry, FANOUT_MIN_ITEMS};
+use enblogue_ingest::partition::{partition_docs, PartitionSpec, PartitionedBatch};
 use enblogue_stats::predict::PredictorKind;
 use enblogue_stats::shift::{ErrorNormalization, ShiftScorer};
-use enblogue_types::{FxHashSet, TagId, TagPair, Tick, Timestamp};
+use enblogue_types::{Document, FxHashSet, TagId, TagPair, Tick, TickSpec, Timestamp};
 
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAlloc = alloc_counter::CountingAlloc;
@@ -159,6 +161,61 @@ fn steady_state_close_is_allocation_free() {
     // every seed close; once it spans the largest live tag it is
     // zero-filled and rewritten in place.
     tag_count_refresh_is_allocation_free();
+
+    // Scenario 7: the warm serial apply of counted runs, the engine's
+    // batch path. Partitioning runs off the applier thread, so batches are
+    // built up front and only the apply + close is measured.
+    run_apply_is_allocation_free(&seeds, &scorer);
+}
+
+/// The `run_tick` workload as one pre-partitioned batch per tick: every
+/// pair's document twice, so its run carries a count of 2.
+fn partitioned_ticks(shards: usize, ticks: std::ops::Range<u64>) -> Vec<PartitionedBatch> {
+    let spec = PartitionSpec { tick_spec: TickSpec::hourly(), use_entities: false, shards };
+    ticks
+        .map(|t| {
+            let docs: Vec<Document> = (0..PAIRS)
+                .filter(|a| (a + t as u32).is_multiple_of(3))
+                .flat_map(|a| [a, a])
+                .map(|a| {
+                    Document::builder(u64::from(a), Timestamp::from_hours(t))
+                        .tags([TagId(a), TagId(a + 1000)])
+                        .build()
+                })
+                .collect();
+            partition_docs(&docs, &spec)
+        })
+        .collect()
+}
+
+fn run_apply_is_allocation_free(seeds: &FxHashSet<TagId>, scorer: &ShiftScorer) {
+    let batches = partitioned_ticks(4, 0..24);
+    let apply_tick = |registry: &mut ShardedPairRegistry, t: u64| {
+        let tick = Tick(t);
+        registry.ingest_partitioned(batches[t as usize].buckets());
+        registry.advance_to(tick);
+        registry.discover_seeded(seeds, tick, 0);
+        registry.score_all(tick, Timestamp::from_hours(t), scorer, |pair, ab| {
+            ab as f64 / (4.0 + (pair.lo().0 % 5) as f64)
+        });
+        registry.evict(tick, Timestamp::from_hours(t));
+    };
+    let runs: usize = batches[12].buckets().iter().map(Vec::len).sum();
+    assert!(runs > 0 && runs < FANOUT_MIN_ITEMS, "{runs} runs: a serial apply");
+    assert!(batches[12].observations == 2 * runs, "every run combines two observations");
+
+    let mut registry = ShardedPairRegistry::new(4, 6, Timestamp::DAY, 1, 10_000);
+    for t in 0..12u64 {
+        apply_tick(&mut registry, t);
+    }
+    assert_eq!(registry.len() as u32, PAIRS, "the whole population is tracked and stable");
+    let (_, allocs) = alloc_counter::measure(|| {
+        for t in 12..24u64 {
+            apply_tick(&mut registry, t);
+        }
+    });
+    assert_eq!(allocs, 0, "a warm serial apply of counted runs must be allocation-free");
+    assert_eq!(registry.stats().evicted, 0);
 }
 
 fn tag_count_refresh_is_allocation_free() {

@@ -2,7 +2,8 @@
 
 use enblogue_core::config::EnBlogueConfig;
 use enblogue_core::engine::EnBlogueEngine;
-use enblogue_types::{Document, TagId, TickSpec, Timestamp};
+use enblogue_core::stages::StagePipeline;
+use enblogue_types::{Document, RankingSnapshot, TagId, Tick, TickSpec, Timestamp};
 use proptest::prelude::*;
 
 /// A compact random workload description: per tick, a list of documents,
@@ -42,8 +43,71 @@ fn small_config(max_pairs: usize) -> EnBlogueConfig {
         .unwrap()
 }
 
+/// One closed tick of a late stream: a batch size and the documents fed
+/// before the close, each `(hours late, tags)`.
+type LateTick = (usize, Vec<(u64, Vec<u32>)>);
+
+/// A random stream with late documents.
+fn late_workload() -> impl Strategy<Value = Vec<LateTick>> {
+    proptest::collection::vec(
+        (
+            1usize..8,
+            proptest::collection::vec((0u64..3, proptest::collection::vec(0u32..12, 1..5)), 0..16),
+        ),
+        2..12,
+    )
+}
+
+/// Feeds `ticks` into a fresh pipeline over `shards` stores — in
+/// `process_docs` slices of the drawn batch size, or one `process_doc`
+/// at a time — closing each tick after its documents. Returns every
+/// ranking and the registry's snapshot bytes.
+fn run_late(shards: usize, batched: bool, ticks: &[LateTick]) -> (Vec<RankingSnapshot>, Vec<u8>) {
+    let config = EnBlogueConfig { shards, ..small_config(1000) };
+    let mut pipeline = StagePipeline::new(config);
+    let mut rankings = Vec::new();
+    let mut id = 0u64;
+    for (t, (batch, docs)) in ticks.iter().enumerate() {
+        let docs: Vec<Document> = docs
+            .iter()
+            .map(|(late, tags)| {
+                id += 1;
+                let hour = (t as u64).saturating_sub(*late);
+                Document::builder(id, Timestamp::from_hours(hour))
+                    .tags(tags.iter().map(|&x| TagId(x)))
+                    .build()
+            })
+            .collect();
+        for slice in docs.chunks(*batch) {
+            if batched {
+                pipeline.process_docs(slice);
+            } else {
+                slice.iter().for_each(|doc| pipeline.process_doc(doc));
+            }
+        }
+        rankings.push(pipeline.close_tick(Tick(t as u64)));
+    }
+    (rankings, pipeline.state().registry().snapshot_bytes())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Batched feeding applies counted runs; per-document feeding counts
+    /// one observation at a time. With late documents inside and across
+    /// slices, both must leave byte-identical registries and rankings
+    /// under every store count. (Across store counts a late observation
+    /// counts into the newest tick of *its* store, which depends on the
+    /// pairs sharing that store, so only the feeding modes are compared.)
+    #[test]
+    fn batched_runs_match_per_document_feeding(ticks in late_workload()) {
+        for shards in [1usize, 4, 16] {
+            let per_doc = run_late(shards, false, &ticks);
+            let batched = run_late(shards, true, &ticks);
+            prop_assert_eq!(&batched.1, &per_doc.1, "snapshot bytes, {} stores", shards);
+            prop_assert_eq!(&batched.0, &per_doc.0, "rankings, {} stores", shards);
+        }
+    }
 
     /// Rankings are sorted descending, scores positive and finite, and
     /// bounded by k.

@@ -69,7 +69,7 @@
 //!   reference across shard workers.
 //! * `enblogue-ingest` owns the *feed path*: the pure partitioning
 //!   pre-pass ([`ingest::partition_docs`] buckets each batch's pair
-//!   observations by shard) and the backpressured
+//!   observations by shard as counted runs) and the backpressured
 //!   [`ingest::IngestPipeline`] (bounded work queue, partitioning worker
 //!   pool, deterministic re-sequencing), plus
 //!   [`ingest::default_parallelism`], the default of every execution

@@ -3,16 +3,17 @@
 //! The feed path of EnBlogue: documents arrive in batches, each batch is
 //! tokenized into `(tick, packed pair)` co-occurrence observations exactly
 //! once, the observations are bucketed by pair shard (the fixed hash
-//! split [`enblogue_types::shard_of_packed`] the consuming registry uses),
-//! and the buckets are applied to the sharded pair state with one worker
-//! per shard. The subsystem has two layers:
+//! split [`enblogue_types::shard_of_packed`] the consuming registry uses)
+//! and combined into counted runs, one per distinct `(tick, pair)`, and
+//! the buckets are applied to the sharded pair state, one worker per
+//! shard once a batch is large enough. The subsystem has two layers:
 //!
 //! * [`partition`] — the pure pre-pass: [`partition::partition_docs`]
 //!   turns a document slice into a [`partition::PartitionedBatch`] under a
 //!   [`partition::PartitionSpec`]. No locks, no threads, no own state;
-//!   the per-shard observation order is exactly the order a sequential
-//!   feeder would have produced, which is what makes downstream
-//!   application order-identical.
+//!   each bucket's [`partition::PairRun`]s sum to exactly the windowed
+//!   counts a sequential feeder would have written to that shard, which
+//!   is what makes downstream application result-identical.
 //! * [`pipeline`] — the driver: an [`pipeline::IngestPipeline`] splits a
 //!   replay into per-tick batches (never spanning a boundary), pushes them
 //!   through a bounded work queue to a partitioning worker pool
@@ -50,6 +51,6 @@ pub mod pipeline;
 pub mod reorder;
 
 pub use guard::{GuardSnapshot, GuardVerdict, SourceGuard};
-pub use partition::{partition_docs, PartitionSpec, PartitionedBatch};
+pub use partition::{partition_docs, PairRun, PartitionSpec, PartitionedBatch};
 pub use pipeline::{default_parallelism, IngestConfig, IngestPipeline, IngestSink, IngestStats};
 pub use reorder::{PushOutcome, ReorderBuffer, ReorderSnapshot};

@@ -414,6 +414,7 @@ impl IngestPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::PairRun;
     use enblogue_types::{TagId, TickSpec, Timestamp};
 
     fn doc(id: u64, hour: u64, tags: &[u32]) -> Document {
@@ -423,13 +424,13 @@ mod tests {
     }
 
     /// Records the exact operation sequence the pipeline applies, and the
-    /// per-shard observation state at every close.
+    /// per-shard run state at every close.
     struct RecordingSink {
         spec: PartitionSpec,
         ops: Vec<String>,
         observations: usize,
-        shard_state: Vec<Vec<(Tick, u64)>>,
-        snapshots: Vec<Vec<Vec<(Tick, u64)>>>,
+        shard_state: Vec<Vec<PairRun>>,
+        snapshots: Vec<Vec<Vec<PairRun>>>,
     }
 
     impl RecordingSink {

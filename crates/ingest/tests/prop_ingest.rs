@@ -1,13 +1,14 @@
 //! Property-based tests for the shard partitioner: partitioning must be a
-//! lossless, routing-faithful reshuffle of the sequential observation
-//! stream.
+//! lossless, routing-faithful regrouping of the sequential observation
+//! stream into counted runs.
 
-use enblogue_ingest::partition::{annotations_of, partition_docs, PartitionSpec};
+use enblogue_ingest::partition::{annotations_of, partition_docs, PairRun, PartitionSpec};
 use enblogue_types::{shard_of_packed, Document, TagId, TagPair, Tick, TickSpec, Timestamp};
 use proptest::prelude::*;
 
-/// Builds a timestamp-sorted workload from generated raw material.
-fn build_docs(raw: &[(u64, Vec<u32>, Vec<u32>)]) -> Vec<Document> {
+/// Builds a workload from generated raw material: in generated order
+/// (ticks out of order) or timestamp-sorted.
+fn build_docs(raw: &[(u64, Vec<u32>, Vec<u32>)], sorted: bool) -> Vec<Document> {
     let mut docs: Vec<Document> = raw
         .iter()
         .enumerate()
@@ -18,7 +19,9 @@ fn build_docs(raw: &[(u64, Vec<u32>, Vec<u32>)]) -> Vec<Document> {
                 .build()
         })
         .collect();
-    docs.sort_by_key(|d| d.timestamp);
+    if sorted {
+        docs.sort_by_key(|d| d.timestamp);
+    }
     docs
 }
 
@@ -38,9 +41,19 @@ fn sequential_observations(docs: &[Document], spec: &PartitionSpec) -> Vec<(Tick
     out
 }
 
+/// A bucket's runs expanded back into one entry per observation.
+fn expand(bucket: &[PairRun]) -> Vec<(Tick, u64)> {
+    bucket
+        .iter()
+        .flat_map(|run| std::iter::repeat_n((run.tick, run.key), run.count as usize))
+        .collect()
+}
+
 proptest! {
-    /// Every observation lands in exactly the bucket its shard routing
-    /// names — no leaks across shards.
+    /// Every run lands in exactly the bucket its shard routing names, a
+    /// bucket's runs are strictly increasing in `(tick, key)` (one per
+    /// distinct pair and tick), and their counts are positive and sum to
+    /// the raw observation count.
     #[test]
     fn observations_land_on_exactly_one_shard(
         raw in proptest::collection::vec(
@@ -50,22 +63,32 @@ proptest! {
         ),
         shards in 1usize..9,
         use_entities in 0u32..2,
+        sorted in 0u32..2,
     ) {
-        let docs = build_docs(&raw);
+        let docs = build_docs(&raw, sorted == 1);
         let spec =
             PartitionSpec { tick_spec: TickSpec::hourly(), use_entities: use_entities == 1, shards };
         let batch = partition_docs(&docs, &spec);
         prop_assert_eq!(batch.shard_count(), shards);
+        let mut total = 0u64;
         for (shard, bucket) in batch.buckets().iter().enumerate() {
-            for &(_, packed) in bucket {
-                prop_assert_eq!(shard_of_packed(packed, shards), shard);
+            for run in bucket {
+                prop_assert_eq!(shard_of_packed(run.key, shards), shard);
+                prop_assert!(run.count >= 1);
+                total += run.count;
+            }
+            for pair in bucket.windows(2) {
+                prop_assert!((pair[0].tick, pair[0].key) < (pair[1].tick, pair[1].key));
             }
         }
+        prop_assert_eq!(total, batch.observations as u64);
     }
 
-    /// The union of all buckets is the sequential observation stream —
-    /// nothing lost, nothing invented, multiplicities preserved — and each
-    /// bucket preserves the sequential order of its own observations.
+    /// Expanding a bucket gives exactly the sequential observations
+    /// routed to that shard — nothing lost, nothing invented,
+    /// multiplicities preserved — with each tick replaced by the newest
+    /// tick routed to the shard up to it: the column a sequential
+    /// per-observation feed hits on that shard's windowed counter.
     #[test]
     fn bucket_union_equals_sequential_stream(
         raw in proptest::collection::vec(
@@ -74,31 +97,27 @@ proptest! {
             0..60,
         ),
         shards in 1usize..9,
+        sorted in 0u32..2,
     ) {
-        let docs = build_docs(&raw);
+        let docs = build_docs(&raw, sorted == 1);
         let spec = PartitionSpec { tick_spec: TickSpec::hourly(), use_entities: true, shards };
         let batch = partition_docs(&docs, &spec);
         let reference = sequential_observations(&docs, &spec);
         prop_assert_eq!(batch.observations, reference.len());
         prop_assert_eq!(batch.docs, docs.len());
 
-        // Multiset equality of the union.
-        let mut merged: Vec<(Tick, u64)> =
-            batch.buckets().iter().flat_map(|b| b.iter().copied()).collect();
-        let mut sorted_reference = reference.clone();
-        merged.sort_unstable();
-        sorted_reference.sort_unstable();
-        prop_assert_eq!(merged, sorted_reference);
-
-        // Order within each bucket = the sequential subsequence routed to
-        // that shard (what makes parallel application order-identical).
         for (shard, bucket) in batch.buckets().iter().enumerate() {
-            let expected: Vec<(Tick, u64)> = reference
+            let mut newest = Tick(0);
+            let mut expected: Vec<(Tick, u64)> = reference
                 .iter()
-                .copied()
-                .filter(|&(_, packed)| shard_of_packed(packed, shards) == shard)
+                .filter(|&&(_, key)| shard_of_packed(key, shards) == shard)
+                .map(|&(tick, key)| {
+                    newest = newest.max(tick);
+                    (newest, key)
+                })
                 .collect();
-            prop_assert_eq!(bucket.clone(), expected);
+            expected.sort_unstable();
+            prop_assert_eq!(expand(bucket), expected);
         }
     }
 }

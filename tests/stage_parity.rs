@@ -5,7 +5,7 @@
 //! registry must make shard count, and with it the shard-parallel apply
 //! and close, invisible in every ranking.
 
-use enblogue::core::pairs::{PARALLEL_APPLY_MIN_OBSERVATIONS, SERIAL_CLOSE_MAX_PAIRS};
+use enblogue::core::pairs::FANOUT_MIN_ITEMS;
 use enblogue::prelude::*;
 use enblogue_datagen::nyt::{NytArchive, NytConfig};
 use enblogue_datagen::zipf::Zipf;
@@ -406,10 +406,11 @@ fn zipf_docs(ticks: u64, docs_per_tick: usize, tags: usize, tags_per_doc: usize)
     docs
 }
 
-/// The engine's ingest sink, recording the largest batch it applied.
+/// The engine's ingest sink, recording the run count of the largest
+/// batch it applied.
 struct BatchProbe<'p> {
     sink: ReplayIngest<'p>,
-    max_observations: usize,
+    max_runs: usize,
 }
 
 impl IngestSink for BatchProbe<'_> {
@@ -418,7 +419,8 @@ impl IngestSink for BatchProbe<'_> {
     }
 
     fn apply_batch(&mut self, docs: &[Document], partitioned: &PartitionedBatch) {
-        self.max_observations = self.max_observations.max(partitioned.observations);
+        let runs = partitioned.buckets().iter().map(Vec::len).sum();
+        self.max_runs = self.max_runs.max(runs);
         self.sink.apply_batch(docs, partitioned);
     }
 
@@ -430,10 +432,10 @@ impl IngestSink for BatchProbe<'_> {
 #[test]
 fn fanned_out_apply_and_close_are_invisible_in_rankings() {
     // With more than one store, the registry fans the apply out from
-    // `PARALLEL_APPLY_MIN_OBSERVATIONS` observations per batch and the
-    // close from `SERIAL_CLOSE_MAX_PAIRS` tracked pairs. This stream
-    // crosses both thresholds, so 4 and 16 stores run the fanned-out
-    // paths, while 1 store runs everything serially.
+    // `FANOUT_MIN_ITEMS` counted runs per batch and the close from
+    // `FANOUT_MIN_ITEMS` tracked pairs. This stream crosses both, so 4
+    // and 16 stores run the fanned-out paths, while 1 store runs
+    // everything serially.
     let docs = zipf_docs(8, 400, 300, 6);
     let config = |shards: usize| {
         EnBlogueConfig::builder()
@@ -447,7 +449,9 @@ fn fanned_out_apply_and_close_are_invisible_in_rankings() {
             .build()
             .unwrap()
     };
-    let ingest = IngestConfig { batch_size: 256, queue_depth: 4, workers: 2 };
+    // Batches never span a tick, so each applied batch is one whole
+    // 400-document tick: enough distinct runs to cross the threshold.
+    let ingest = IngestConfig { batch_size: 512, queue_depth: 4, workers: 2 };
 
     // The close threshold: at least two closes end at or above it, so the
     // later one discovers, scores and evicts fanned out.
@@ -457,7 +461,7 @@ fn fanned_out_apply_and_close_are_invisible_in_rankings() {
     for slice in docs.chunk_by(|a, b| a.timestamp == b.timestamp) {
         stepped.process_docs(slice);
         baseline.push(stepped.close_tick(TickSpec::hourly().tick_of(slice[0].timestamp)));
-        if stepped.metrics().pairs_tracked >= SERIAL_CLOSE_MAX_PAIRS {
+        if stepped.metrics().pairs_tracked >= FANOUT_MIN_ITEMS {
             crowded_closes += 1;
         }
     }
@@ -466,12 +470,12 @@ fn fanned_out_apply_and_close_are_invisible_in_rankings() {
 
     // The apply threshold, observed at the sink of the ingestion pipeline.
     let mut pipeline = StagePipeline::new(config(16));
-    let mut probe = BatchProbe { sink: ReplayIngest::new(&mut pipeline), max_observations: 0 };
+    let mut probe = BatchProbe { sink: ReplayIngest::new(&mut pipeline), max_runs: 0 };
     IngestPipeline::new(ingest.clone()).run(&mut probe, &docs);
     assert!(
-        probe.max_observations >= PARALLEL_APPLY_MIN_OBSERVATIONS,
-        "largest applied batch holds only {} observations",
-        probe.max_observations
+        probe.max_runs >= FANOUT_MIN_ITEMS,
+        "largest applied batch holds only {} runs",
+        probe.max_runs
     );
     assert_eq!(probe.sink.into_snapshots(), baseline, "16 stores, probed ingest");
 
