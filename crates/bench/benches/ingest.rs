@@ -11,7 +11,11 @@
 //! runs, above), into 1 vs 2 stores. On a multi-core box the 2-store
 //! tick row is the fanned-out apply and every other row is serial; the
 //! per-run cost of the serial rows against the spawn cost the fanned-out
-//! row saves is what places the threshold.
+//! row saves is what places the threshold. A `wide` row applies one
+//! `wide-close`-shaped tick (2 500 documents of 3 tags, Zipf 0.7 over
+//! 20 000 tags) into a single store whose 30-tick window already holds
+//! ≈ 200k live keys, so the apply pays for a pair table that outruns the
+//! cache.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use enblogue::core::pairs::ShardedPairRegistry;
@@ -90,23 +94,35 @@ fn bench_ingest_batch_size(c: &mut Criterion) {
     group.finish();
 }
 
+/// `docs` documents stamped in `hour`, each of `width` distinct tags drawn
+/// from a Zipf(`s`) law over `tags` tags.
+fn zipf_docs(
+    docs: usize,
+    hour: u64,
+    width: usize,
+    tags: usize,
+    s: f64,
+    rng: &mut StdRng,
+) -> Vec<Document> {
+    let zipf = Zipf::new(tags, s);
+    (0..docs as u64)
+        .map(|id| {
+            let mut doc_tags: Vec<TagId> = Vec::with_capacity(width);
+            while doc_tags.len() < width {
+                let tag = TagId(zipf.sample(rng) as u32);
+                if !doc_tags.contains(&tag) {
+                    doc_tags.push(tag);
+                }
+            }
+            Document::builder(id, Timestamp::from_hours(hour)).tags(doc_tags).build()
+        })
+        .collect()
+}
+
 /// One `replay-zipf`-shaped tick: `docs` documents of 4 distinct tags
 /// drawn from a Zipf(1.1) law over 3 000 tags.
 fn zipf_tick(docs: usize) -> Vec<Document> {
-    let zipf = Zipf::new(3_000, 1.1);
-    let mut rng = StdRng::seed_from_u64(0x00A9_9171);
-    (0..docs as u64)
-        .map(|id| {
-            let mut tags: Vec<TagId> = Vec::with_capacity(4);
-            while tags.len() < 4 {
-                let tag = TagId(zipf.sample(&mut rng) as u32);
-                if !tags.contains(&tag) {
-                    tags.push(tag);
-                }
-            }
-            Document::builder(id, Timestamp::from_hours(0)).tags(tags).build()
-        })
-        .collect()
+    zipf_docs(docs, 0, 4, 3_000, 1.1, &mut StdRng::seed_from_u64(0x00A9_9171))
 }
 
 fn bench_apply(c: &mut Criterion) {
@@ -122,8 +138,8 @@ fn bench_apply(c: &mut Criterion) {
                 shards: stores,
             };
             let batch = partition_docs(docs, &spec);
-            // Warm: every key already holds a counter lane and every
-            // candidate set its capacity, as mid-tick in a replay.
+            // Warm: every key already holds a table row and every
+            // candidate list its capacity, as mid-tick in a replay.
             let mut registry = ShardedPairRegistry::new(stores, 6, Timestamp::DAY, 1, 200_000);
             registry.ingest_partitioned(batch.buckets());
             group.bench_with_input(BenchmarkId::new(label, stores), &batch, |b, batch| {
@@ -131,6 +147,27 @@ fn bench_apply(c: &mut Criterion) {
             });
         }
     }
+
+    // `wide`: 30 ticks of `wide-close` documents fill a 30-tick window,
+    // then the last tick's batch is timed against the full table.
+    const WIDE_WINDOW: u64 = 30;
+    let spec = PartitionSpec { tick_spec: TickSpec::hourly(), use_entities: false, shards: 1 };
+    let mut rng = StdRng::seed_from_u64(0x0057_1DE0);
+    let mut registry =
+        ShardedPairRegistry::new(1, WIDE_WINDOW as usize, Timestamp::DAY, 1, 140_000);
+    let mut last = None;
+    for hour in 0..WIDE_WINDOW {
+        let batch = partition_docs(&zipf_docs(2_500, hour, 3, 20_000, 0.7, &mut rng), &spec);
+        registry.ingest_partitioned(batch.buckets());
+        last = Some(batch);
+    }
+    let batch = last.expect("the window holds ticks");
+    let keys = registry.observed_keys();
+    assert!((150_000..250_000).contains(&keys), "{keys} live keys: not wide-close-shaped");
+    group.throughput(Throughput::Elements(batch.docs as u64));
+    group.bench_with_input(BenchmarkId::new("wide", 1), &batch, |b, batch| {
+        b.iter(|| registry.ingest_partitioned(black_box(batch.buckets())));
+    });
     group.finish();
 }
 

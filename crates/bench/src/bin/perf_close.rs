@@ -7,8 +7,8 @@
 //! live-pair population through two storage layouts:
 //!
 //! * `slab` — the production [`ShardedPairRegistry`]: SoA slab columns,
-//!   one strided history arena read in place by the scorer, lane-based
-//!   windowed counts, live slots walked in slot order;
+//!   one strided history arena read in place by the scorer, windowed
+//!   counts read by pair-table row, live slots walked in slot order;
 //! * `legacy` — a faithful in-bin model of the pre-slab layout:
 //!   `FxHashMap<u64, PairState>` with one heap `RingBuffer` per pair
 //!   (copied into a scratch `Vec` before scoring, as the old close loop

@@ -411,6 +411,18 @@ mod tests {
     }
 
     #[test]
+    fn close_publishes_observed_keys_next_to_tracked_pairs() {
+        let mut engine = EnBlogueEngine::new(config());
+        stream(&mut engine, 0..4, 5, &[&[1, 2], &[2, 3], &[40, 41]]);
+        let registry = engine.pipeline().state().registry();
+        let gauge = |name: &str| engine.telemetry().registry().gauge(name).value();
+        assert_eq!(gauge("pairs.tracked"), registry.len() as i64);
+        assert_eq!(gauge("pairs.observed_keys"), registry.observed_keys() as i64);
+        assert!(registry.observed_keys() >= registry.len());
+        assert!(gauge("pairs.observed_keys") > 0);
+    }
+
+    #[test]
     fn volatility_strategy_runs_end_to_end() {
         let mut cfg = config();
         cfg.seed_strategy = SeedStrategy::Volatility;

@@ -87,6 +87,7 @@ pub mod seeds;
 pub mod slab;
 pub mod snapshot;
 pub mod stages;
+pub mod table;
 pub mod termwin;
 
 pub use config::{

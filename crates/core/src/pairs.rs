@@ -9,15 +9,17 @@
 //!
 //! The registry splits per-pair state into a fixed pool of hash shards:
 //! a pair key lives in store [`enblogue_types::shard_of_packed`]`(key,
-//! shards)` for the whole run, next to its windowed co-occurrence counts
-//! in the same index of an [`enblogue_window::ShardedWindowedCounter`]. A
-//! pair's state (§3(ii): its windowed count, correlation history and
-//! decayed score) depends only on its own key, so every pair is fully
-//! contained in its store: discovery, scoring and support-based eviction
-//! fan out shard-parallel through the crate's `exec::fanout`, while the
-//! cap-based eviction and the final ranking merge stay global. Rankings
-//! are **identical for any shard count** — sharding is a pure execution
-//! knob, never a semantic one (pinned by `tests/stage_parity.rs`).
+//! shards)` for the whole run. Each store keys its pairs once, in a
+//! [`PairTable`] whose row holds the windowed co-occurrence count, the
+//! discovery-candidate flag and the link to the tracked pair's
+//! [`PairSlab`] slot. A pair's state (§3(ii): its windowed count,
+//! correlation history and decayed score) depends only on its own key, so
+//! every pair is fully contained in its store: discovery, scoring and
+//! support-based eviction fan out shard-parallel through the crate's
+//! `exec::fanout`, while the cap-based eviction and the final ranking
+//! merge stay global. Rankings are **identical for any shard count** —
+//! sharding is a pure execution knob, never a semantic one (pinned by
+//! `tests/stage_parity.rs`).
 
 use crate::exec::fanout;
 pub use crate::exec::FANOUT_MIN_ITEMS;
@@ -25,14 +27,13 @@ use crate::query::ViewData;
 use crate::slab::PairSlab;
 pub use crate::slab::PairState;
 use crate::snapshot::{corrupt, SnapReader, SnapWriter};
+use crate::table::PairTable;
 use enblogue_ingest::PairRun;
 use enblogue_stats::predict::{HistoryTile, SeriesView, LANES};
 use enblogue_stats::shift::ShiftScorer;
 use enblogue_telemetry::{EventKind, Histogram, Journal, Telemetry};
 use enblogue_types::{shard_of_packed, EnBlogueError, FxHashSet, TagId, TagPair, Tick, Timestamp};
-use enblogue_window::{
-    DecayMemo, DecayValue, RingBuffer, ShardedWindowedCounter, TopK, WindowedCounter,
-};
+use enblogue_window::{DecayMemo, DecayValue, RingBuffer, TopK};
 use serde::{Deserialize, Serialize};
 
 /// Which execution path the tick close uses to score tracked pairs.
@@ -66,8 +67,8 @@ impl ScoringMode {
 /// when a store's load is summarised as `observations + weight · pairs`
 /// (the benchmark's `core.close.max_load_share` reading). A tracked pair
 /// costs a correlation + prediction + decayed-max update every tick
-/// close; an observation costs one counter update at ingest. Measured at
-/// ≈ 160 ns per pair update vs ≈ 60 ns per observation, so 3 is that
+/// close; an observation costs one pair-table update at ingest. Measured
+/// at ≈ 160 ns per pair update vs ≈ 60 ns per observation, so 3 is that
 /// ratio rounded, not a tuning surface.
 pub const PAIR_LOAD_WEIGHT: u64 = 3;
 
@@ -81,8 +82,11 @@ pub struct RegistryStats {
     /// Live pairs per store (index = store).
     pub per_shard_pairs: Vec<usize>,
     /// Window observations per store (index = store): the total of the
-    /// store's windowed co-occurrence counter.
+    /// store's windowed co-occurrence counts.
     pub per_shard_obs: Vec<u64>,
+    /// Distinct keys the pair tables hold: every counted, tracked or
+    /// candidate pair (see [`ShardedPairRegistry::observed_keys`]).
+    pub observed_keys: usize,
     /// Pairs ever discovered.
     pub discovered: u64,
     /// Pairs ever evicted.
@@ -107,17 +111,16 @@ pub struct TrackedPairInfo {
     pub tracked_ticks: u64,
 }
 
-/// One hash shard of tracked-pair state.
+/// One hash shard of pair state.
 ///
-/// A shard owns every tracked pair routed to it — slab-resident (see
-/// [`crate::slab::PairSlab`]): keys, scores and support ticks in parallel
-/// dense vectors, histories in one strided arena — plus the open-tick
-/// co-occurrence candidates; its windowed co-occurrence counts live in the
-/// registry's [`ShardedWindowedCounter`] under the same index.
+/// A shard owns every pair routed to it: the [`PairTable`] — its one key
+/// index, holding the windowed co-occurrence counts and the discovery
+/// candidates — and the slab of tracked pairs (see [`PairSlab`]): keys,
+/// scores and support ticks in parallel dense vectors, histories in one
+/// strided arena, each slot linked to its table row.
 pub struct PairShard {
+    table: PairTable,
     slab: PairSlab,
-    /// Pairs that co-occurred in the open tick (discovery candidates).
-    current: FxHashSet<u64>,
     /// Copy of the registry's scalar parameters (shards are handed to
     /// workers detached from the registry during fan-out).
     params: PairParams,
@@ -146,7 +149,7 @@ struct TileScratch {
     slots: [u32; LANES],
     /// Packed pair key of each lane.
     keys: [u64; LANES],
-    /// Windowed co-occurrence count of each lane (bulk-fetched).
+    /// Windowed co-occurrence count of each lane (read by table row).
     counts: [u64; LANES],
     /// This tick's correlation value of each lane.
     corrs: [f64; LANES],
@@ -175,8 +178,8 @@ impl TileScratch {
 impl PairShard {
     fn new(params: PairParams) -> Self {
         PairShard {
+            table: PairTable::new(params.history_len),
             slab: PairSlab::new(params.history_len),
-            current: FxHashSet::default(),
             tile: TileScratch::new(params.history_len),
             close_ns: Histogram::disabled(),
             params,
@@ -185,10 +188,16 @@ impl PairShard {
         }
     }
 
-    fn discover(&mut self, packed: u64, tick: Tick, backfill_zeros: usize) {
-        if self.slab.insert_fresh(packed, tick, backfill_zeros, self.params.half_life_ms) {
-            self.discovered += 1;
-        }
+    /// The slab slot of `packed`, if tracked: key → row → slot, one probe.
+    fn slot_of(&self, packed: u64) -> Option<usize> {
+        self.table.row_of(packed).and_then(|row| self.table.slot(row))
+    }
+
+    /// Stops tracking the pair at `slot` and unlinks its table row.
+    fn untrack(&mut self, slot: usize) {
+        let row = self.slab.remove_slot(slot);
+        self.table.unlink(row);
+        self.evicted += 1;
     }
 
     /// The scoring update of one slab slot at tick close: the scorer reads
@@ -234,17 +243,17 @@ impl PairShard {
         now: Timestamp,
         scorer: &ShiftScorer,
     ) -> f64 {
-        let slot = self.slab.slot_of(packed).expect("update_pair on untracked pair");
+        let slot = self.slot_of(packed).expect("update_pair on untracked pair");
         self.update_slot(slot, correlation, support, tick, now, scorer)
     }
 
     /// The batched tick-close walk: groups consecutive live slots into
     /// [`LANES`]-wide tiles of equal history length, gathers each tile's
     /// ring-resident histories into one rotation-normalised time-major
-    /// buffer (one linear copy per lane), bulk-fetches the tile's
-    /// windowed actuals, and scores all lanes through the lane-parallel
-    /// kernels of `ShiftScorer::score_batch` — writing results straight
-    /// back into the slab's dense score column.
+    /// buffer (one linear copy per lane), reads each lane's windowed
+    /// actual from its table row, and scores all lanes through the
+    /// lane-parallel kernels of `ShiftScorer::score_batch` — writing
+    /// results straight back into the slab's dense score column.
     ///
     /// Bit-identical to running [`PairShard::update_slot`] over every live
     /// slot: tiles group pairs but never mix their arithmetic
@@ -252,17 +261,11 @@ impl PairShard {
     /// noise floor and the decayed-max update are applied per lane
     /// exactly as the scalar path applies them per pair). Tiling is an
     /// execution detail, invisible in rankings.
-    fn close_batched<C>(
-        &mut self,
-        counter: &WindowedCounter<u64>,
-        tick: Tick,
-        now: Timestamp,
-        scorer: &ShiftScorer,
-        correlate: &C,
-    ) where
+    fn close_batched<C>(&mut self, tick: Tick, now: Timestamp, scorer: &ShiftScorer, correlate: &C)
+    where
         C: Fn(TagPair, u64) -> f64 + Sync,
     {
-        let PairShard { slab, tile, params, .. } = self;
+        let PairShard { table, slab, tile, params, .. } = self;
         let bound = slab.slot_bound();
         let mut slot = 0;
         while slot < bound {
@@ -286,6 +289,7 @@ impl PairShard {
                 }
                 tile.slots[width] = slot as u32;
                 tile.keys[width] = slab.key_at(slot);
+                tile.counts[width] = table.total(slab.row_at(slot));
                 // Rotation-normalised gather: the ring's two runs land
                 // oldest → newest in the lane, so kernels never see the
                 // split point.
@@ -299,9 +303,6 @@ impl PairShard {
             if width == 0 {
                 break; // only dead slots were left
             }
-            // One bulk probe for the tile's windowed actuals, then the
-            // correlation values derived from them.
-            counter.counts_for_keys(&tile.keys[..width], &mut tile.counts[..width]);
             for l in 0..width {
                 tile.corrs[l] = correlate(TagPair::from_packed(tile.keys[l]), tile.counts[l]);
             }
@@ -345,8 +346,6 @@ struct PairParams {
 /// over a fixed pool of hash shards.
 pub struct ShardedPairRegistry {
     shards: Vec<PairShard>,
-    /// Windowed per-pair co-occurrence counts, sharded alongside `shards`.
-    counts: ShardedWindowedCounter<u64>,
     params: PairParams,
     /// Reusable `(score, key)` buffer of the cap-eviction pass (retained
     /// across closes so a cap-bound steady state allocates nothing).
@@ -383,7 +382,6 @@ impl ShardedPairRegistry {
         };
         ShardedPairRegistry {
             shards: (0..shards).map(|_| PairShard::new(params)).collect(),
-            counts: ShardedWindowedCounter::new(shards, history_len),
             params,
             cap_scratch: Vec::new(),
             close_allocs: 0,
@@ -448,7 +446,14 @@ impl ShardedPairRegistry {
     /// Whether `pair` is currently tracked.
     pub fn is_tracked(&self, pair: TagPair) -> bool {
         let packed = pair.packed();
-        self.shards[self.route(packed)].slab.contains(packed)
+        self.shards[self.route(packed)].slot_of(packed).is_some()
+    }
+
+    /// Distinct keys held across the pair tables: every pair counted in
+    /// the window, tracked, or observed since the last discovery round.
+    /// The state item the tracked-pair cap does not bound.
+    pub fn observed_keys(&self) -> usize {
+        self.shards.iter().map(|s| s.table.len()).sum()
     }
 
     /// Total pairs ever discovered (metrics).
@@ -465,18 +470,17 @@ impl ShardedPairRegistry {
     /// into the pair's windowed series and marks it a discovery candidate.
     pub fn observe_pair(&mut self, tick: Tick, packed: u64) {
         let shard = self.route(packed);
-        self.counts.increment(shard, tick, packed);
-        self.shards[shard].current.insert(packed);
+        self.shards[shard].table.observe(tick, packed, 1);
     }
 
     /// Applies a shard-partitioned batch of counted co-occurrence runs:
-    /// one windowed-counter add and one candidate insert per run, one
-    /// scoped worker per shard once the batch holds [`FANOUT_MIN_ITEMS`]
-    /// runs.
+    /// one pair-table probe per run (count and candidate flag together),
+    /// one scoped worker per shard once the batch holds
+    /// [`FANOUT_MIN_ITEMS`] runs.
     ///
     /// `buckets[i]` must hold exactly the runs routed to shard `i`, sorted
     /// by tick (see `enblogue_ingest::partition`) — then each shard's
-    /// counter advances through the same ticks and ends with the same
+    /// table advances through the same ticks and ends with the same
     /// per-column counts that a sequential
     /// [`ShardedPairRegistry::observe_pair`] loop would have left, and the
     /// same discovery candidates, so results are identical serial or
@@ -487,13 +491,9 @@ impl ShardedPairRegistry {
     pub fn ingest_partitioned(&mut self, buckets: &[Vec<PairRun>]) {
         assert_eq!(buckets.len(), self.shards.len(), "bucket count must match shard count");
         let runs: usize = buckets.iter().map(Vec::len).sum();
-        // Zip each pair shard with its windowed counter so one worker owns
-        // both halves of a shard's state.
-        let work = self.shards.iter_mut().zip(self.counts.shards_mut().iter_mut()).zip(buckets);
-        fanout(work, runs, |_, ((shard, counter), bucket)| {
+        fanout(self.shards.iter_mut().zip(buckets), runs, |_, (shard, bucket)| {
             for run in bucket {
-                counter.add(run.tick, run.key, run.count);
-                shard.current.insert(run.key);
+                shard.table.observe(run.tick, run.key, run.count);
             }
         });
     }
@@ -501,13 +501,15 @@ impl ShardedPairRegistry {
     /// The windowed co-occurrence count of `pair`.
     pub fn pair_count(&self, pair: TagPair) -> u64 {
         let packed = pair.packed();
-        self.counts.count(self.route(packed), packed)
+        self.shards[self.route(packed)].table.count(packed)
     }
 
     /// Aligns every shard's count window to the closing `tick` (gap ticks
     /// expire data).
     pub fn advance_to(&mut self, tick: Tick) {
-        self.counts.advance_to(tick);
+        for shard in &mut self.shards {
+            shard.table.advance_to(tick);
+        }
     }
 
     /// Starts tracking `pair` at `tick` if it is not yet tracked.
@@ -522,8 +524,15 @@ impl ShardedPairRegistry {
     /// every initial pair look emergent.
     pub fn discover(&mut self, pair: TagPair, tick: Tick, backfill_zeros: usize) {
         let packed = pair.packed();
-        let shard = self.route(packed);
-        self.shards[shard].discover(packed, tick, backfill_zeros);
+        let route = self.route(packed);
+        let shard = &mut self.shards[route];
+        let row = shard.table.ensure_row(packed);
+        if shard.table.slot(row).is_none() {
+            let half_life = shard.params.half_life_ms;
+            let slot = shard.slab.insert_fresh(packed, row, tick, backfill_zeros, half_life);
+            shard.table.link(row, slot);
+            shard.discovered += 1;
+        }
     }
 
     /// Promotes this tick's co-occurrence candidates that contain a seed
@@ -532,20 +541,17 @@ impl ShardedPairRegistry {
     pub fn discover_seeded(&mut self, seeds: &FxHashSet<TagId>, tick: Tick, backfill_zeros: usize) {
         let live = self.len();
         fanout(&mut self.shards, live, |_, shard| {
-            // Detach the candidate set so discovery can mutate the shard
-            // while iterating it, then hand it back cleared — no
-            // drain-into-a-fresh-`Vec` round-trip, and the set keeps its
-            // capacity across ticks (`FxHashSet::default()` is
-            // allocation-free).
-            let mut current = std::mem::take(&mut shard.current);
-            for &packed in &current {
+            // The walk goes over the candidate row list, which keeps its
+            // capacity across ticks.
+            let PairShard { table, slab, params, discovered, .. } = shard;
+            table.drain_candidates(|packed, row| {
                 let pair = TagPair::from_packed(packed);
-                if seeds.contains(&pair.lo()) || seeds.contains(&pair.hi()) {
-                    shard.discover(packed, tick, backfill_zeros);
+                if !(seeds.contains(&pair.lo()) || seeds.contains(&pair.hi())) {
+                    return None;
                 }
-            }
-            current.clear();
-            shard.current = current;
+                *discovered += 1;
+                Some(slab.insert_fresh(packed, row, tick, backfill_zeros, params.half_life_ms))
+            });
         });
     }
 
@@ -586,17 +592,14 @@ impl ShardedPairRegistry {
         C: Fn(TagPair, u64) -> f64 + Sync,
     {
         let live = self.len();
-        let counts = &self.counts;
         let correlate = &correlate;
-        fanout(&mut self.shards, live, |index, shard| {
+        fanout(&mut self.shards, live, |_, shard| {
             // Each worker times its own walk into its shard's handle —
             // no cross-shard sharing, and a single branch when disabled.
             let started = shard.close_ns.enabled().then(std::time::Instant::now);
             match shard.params.scoring {
                 // The default: lane-tiled kernels over gathered tiles.
-                ScoringMode::Batched => {
-                    shard.close_batched(&counts.shards()[index], tick, now, scorer, correlate);
-                }
+                ScoringMode::Batched => shard.close_batched(tick, now, scorer, correlate),
                 // The reference: per-pair walk, the scorer reading each
                 // history ring in place.
                 ScoringMode::Scalar => {
@@ -604,9 +607,8 @@ impl ShardedPairRegistry {
                         if !shard.slab.is_live(slot) {
                             continue;
                         }
-                        let packed = shard.slab.key_at(slot);
-                        let pair = TagPair::from_packed(packed);
-                        let ab = counts.count(index, packed);
+                        let pair = TagPair::from_packed(shard.slab.key_at(slot));
+                        let ab = shard.table.total(shard.slab.row_at(slot));
                         let correlation = correlate(pair, ab);
                         shard.update_slot(slot, correlation, ab, tick, now, scorer);
                     }
@@ -631,8 +633,7 @@ impl ShardedPairRegistry {
                 if shard.slab.is_live(slot)
                     && tick.since(shard.slab.last_support_at(slot)) >= horizon
                 {
-                    shard.slab.remove_slot(slot);
-                    shard.evicted += 1;
+                    shard.untrack(slot);
                 }
             }
         });
@@ -664,9 +665,10 @@ impl ShardedPairRegistry {
             scored.select_nth_unstable_by(excess - 1, cmp);
             for i in 0..excess {
                 let packed = self.cap_scratch[i].1;
-                let shard = self.route(packed);
-                self.shards[shard].slab.remove(packed);
-                self.shards[shard].evicted += 1;
+                let route = self.route(packed);
+                let shard = &mut self.shards[route];
+                let slot = shard.slot_of(packed).expect("cap candidates are tracked");
+                shard.untrack(slot);
             }
         }
         let evicted = (self.evicted_total() - evicted_before) as usize;
@@ -682,7 +684,8 @@ impl ShardedPairRegistry {
             shards: self.shards.len(),
             tracked_pairs: self.len(),
             per_shard_pairs: self.shards.iter().map(|shard| shard.slab.len()).collect(),
-            per_shard_obs: self.counts.shards().iter().map(WindowedCounter::total_events).collect(),
+            per_shard_obs: self.shards.iter().map(|shard| shard.table.total_events()).collect(),
+            observed_keys: self.observed_keys(),
             discovered: self.discovered_total(),
             evicted: self.evicted_total(),
             close_allocs: self.close_allocs,
@@ -711,7 +714,7 @@ impl ShardedPairRegistry {
     pub fn info(&self, pair: TagPair, tick: Tick, now: Timestamp) -> Option<TrackedPairInfo> {
         let packed = pair.packed();
         let shard = &self.shards[self.route(packed)];
-        shard.slab.slot_of(packed).map(|slot| TrackedPairInfo {
+        shard.slot_of(packed).map(|slot| TrackedPairInfo {
             pair,
             score: shard.slab.score_at(slot).value_at(now),
             correlation: shard.slab.newest_history(slot).unwrap_or(0.0),
@@ -723,7 +726,7 @@ impl ShardedPairRegistry {
     pub fn history_of(&self, pair: TagPair) -> Option<Vec<f64>> {
         let packed = pair.packed();
         let shard = &self.shards[self.route(packed)];
-        shard.slab.slot_of(packed).map(|slot| {
+        shard.slot_of(packed).map(|slot| {
             let (older, newer) = shard.slab.history_parts(slot);
             older.iter().chain(newer).copied().collect()
         })
@@ -738,7 +741,7 @@ impl ShardedPairRegistry {
         for &(pair, _) in ranked {
             let packed = pair.packed();
             let shard = self.route(packed);
-            if let Some(slot) = self.shards[shard].slab.slot_of(packed) {
+            if let Some(slot) = self.shards[shard].slot_of(packed) {
                 out.scratch.push((packed, shard as u32, slot as u32));
             }
         }
@@ -800,16 +803,14 @@ impl ShardedPairRegistry {
         for shard in &self.shards {
             w.u64(shard.discovered);
             w.u64(shard.evicted);
-            let mut current: Vec<u64> = shard.current.iter().copied().collect();
-            current.sort_unstable();
-            w.usize(current.len());
-            for packed in current {
+            let candidates = shard.table.candidate_keys();
+            w.usize(candidates.len());
+            for packed in candidates {
                 w.u64(packed);
             }
             w.usize(shard.slab.len());
-            for packed in shard.slab.sorted_keys() {
-                let slot = shard.slab.slot_of(packed).expect("sorted keys are tracked");
-                w.u64(packed);
+            for slot in shard.slab.slots_by_key() {
+                w.u64(shard.slab.key_at(slot));
                 let (older, newer) = shard.slab.history_parts(slot);
                 w.usize(older.len() + newer.len());
                 for &value in older.iter().chain(newer) {
@@ -824,12 +825,11 @@ impl ShardedPairRegistry {
                 w.tick(shard.slab.since_at(slot));
             }
         }
-        for counter in self.counts.shards() {
-            w.opt_tick(counter.newest_tick());
-            let per_tick = counter.per_tick_counts();
+        for shard in &self.shards {
+            w.opt_tick(shard.table.newest_tick());
+            let per_tick = shard.table.per_tick_counts();
             w.usize(per_tick.len());
-            for mut entries in per_tick {
-                entries.sort_unstable_by_key(|&(key, _)| key);
+            for entries in per_tick {
                 w.usize(entries.len());
                 for (key, count) in entries {
                     w.u64(key);
@@ -877,9 +877,10 @@ impl ShardedPairRegistry {
         for (store, shard) in registry.shards.iter_mut().enumerate() {
             shard.discovered = r.u64()?;
             shard.evicted = r.u64()?;
-            let current = r.seq(8)?;
-            for _ in 0..current {
-                shard.current.insert(owned(r, store)?);
+            let candidates = r.seq(8)?;
+            for _ in 0..candidates {
+                let packed = owned(r, store)?;
+                shard.table.mark_candidate(packed);
             }
             let states = r.seq(8)?;
             for _ in 0..states {
@@ -900,17 +901,18 @@ impl ShardedPairRegistry {
                 score.set(score_updated, score_value);
                 let last_support = r.tick()?;
                 let since = r.tick()?;
-                if !shard
-                    .slab
-                    .insert_state(packed, PairState { history, score, last_support, since })
-                {
+                let row = shard.table.ensure_row(packed);
+                if shard.table.slot(row).is_some() {
                     return Err(corrupt(format!("pair {packed:#x} serialized twice")));
                 }
+                let state = PairState { history, score, last_support, since };
+                let slot = shard.slab.insert_state(packed, row, state);
+                shard.table.link(row, slot);
             }
         }
 
-        let mut counters = Vec::with_capacity(pool);
-        for store in 0..pool {
+        let mut column = Vec::new();
+        for (store, shard) in registry.shards.iter_mut().enumerate() {
             let newest = r.opt_tick()?;
             let ticks = r.seq(8)?;
             if ticks > history_len {
@@ -918,24 +920,25 @@ impl ShardedPairRegistry {
                     "counter holds {ticks} tick maps, window spans {history_len}"
                 )));
             }
-            if newest.is_none() && ticks > 0 {
-                return Err(corrupt("tick maps without a newest tick"));
+            let Some(newest) = newest else {
+                if ticks > 0 {
+                    return Err(corrupt("tick maps without a newest tick"));
+                }
+                continue;
+            };
+            if ticks == 0 {
+                return Err(corrupt("a newest tick without its tick map"));
             }
-            let mut per_tick = Vec::with_capacity(ticks);
             for _ in 0..ticks {
                 let entries = r.seq(16)?;
-                let mut map = Vec::with_capacity(entries);
+                column.clear();
                 for _ in 0..entries {
                     let key = owned(r, store)?;
-                    let count = r.u64()?;
-                    map.push((key, count));
+                    column.push((key, r.u64()?));
                 }
-                per_tick.push(map);
+                shard.table.restore_column(newest, &column);
             }
-            counters.push(WindowedCounter::from_per_tick_counts(history_len, newest, per_tick));
         }
-
-        registry.counts = ShardedWindowedCounter::from_shards(counters);
         Ok(registry)
     }
 
@@ -1210,7 +1213,7 @@ mod tests {
         let shards = 4usize;
         // Four hourly ticks of five-tag documents; every ninth document
         // is an hour late, so runs carry raised ticks, and the second
-        // batch starts behind the counters' newest tick.
+        // batch starts behind the tables' newest tick.
         let mut state = 0x2545_F491_4F6C_DD1Du64;
         let docs: Vec<Document> = (0..2400u64)
             .map(|i| {
@@ -1293,6 +1296,55 @@ mod tests {
             ShardedPairRegistry::from_snapshot_bytes(&bytes, 2, 4, Timestamp::DAY, 1, 10);
         assert!(
             matches!(restored, Err(EnBlogueError::SnapshotCorrupt(msg)) if msg.contains("outside"))
+        );
+    }
+
+    #[test]
+    fn observed_keys_counts_counted_tracked_and_candidate_keys() {
+        let mut r = ShardedPairRegistry::new(4, 3, Timestamp::DAY, 1, 1000);
+        let seeds: FxHashSet<TagId> = [TagId(1)].into_iter().collect();
+        // Tick 0: (1,2) and (3,4) counted; the round tracks (1,2) only.
+        r.observe_pair(Tick(0), pair(1, 2).packed());
+        r.observe_pair(Tick(0), pair(3, 4).packed());
+        r.advance_to(Tick(0));
+        r.discover_seeded(&seeds, Tick(0), 0);
+        // Tracked without ever being counted.
+        r.discover(pair(7, 8), Tick(0), 0);
+        // A pending candidate of the open tick, counted too.
+        r.observe_pair(Tick(1), pair(5, 6).packed());
+        assert_eq!(r.observed_keys(), 4, "(1,2) (3,4) counted, (7,8) tracked, (5,6) candidate");
+        assert_eq!(r.stats().observed_keys, 4);
+        // The window drains: tracked keys stay, counted-only keys go.
+        r.advance_to(Tick(9));
+        assert_eq!(r.pair_count(pair(1, 2)), 0);
+        assert_eq!(r.observed_keys(), 3, "(1,2) (7,8) tracked, (5,6) still a candidate");
+        r.discover_seeded(&seeds, Tick(9), 0);
+        assert_eq!(r.observed_keys(), 2, "an undiscovered, drained candidate is dropped");
+        assert_eq!(r.stats().observed_keys, r.len());
+    }
+
+    #[test]
+    fn restore_rejects_a_pair_serialized_twice() {
+        let mut w = SnapWriter::new();
+        w.usize(1);
+        w.u64(0);
+        w.u64(0);
+        w.usize(0);
+        w.usize(2);
+        for _ in 0..2 {
+            w.u64(pair(1, 2).packed());
+            w.usize(0);
+            w.f64(0.0);
+            w.timestamp(Timestamp::ZERO);
+            w.tick(Tick(0));
+            w.tick(Tick(0));
+        }
+        w.opt_tick(None);
+        w.usize(0);
+        let restored =
+            ShardedPairRegistry::from_snapshot_bytes(&w.into_bytes(), 1, 4, Timestamp::DAY, 1, 10);
+        assert!(
+            matches!(restored, Err(EnBlogueError::SnapshotCorrupt(msg)) if msg.contains("twice"))
         );
     }
 

@@ -13,9 +13,11 @@
 //! `history_len`-strided `f64` arena of per-pair rings. The close loop
 //! walks live slots in slot order — every column and the arena are read
 //! front to back — and hands the scorer its ring segments in place
-//! ([`enblogue_stats::predict::SeriesView`]); the key→slot hash map is
-//! consulted only on ingest-side operations (discovery, point lookups,
-//! snapshot restore).
+//! ([`enblogue_stats::predict::SeriesView`]). The slab keeps no key index:
+//! each slot records its row in the store's [`crate::table::PairTable`],
+//! the one key index of the store, which links the row back to the slot.
+//! Point lookups go key → row → slot, and the close reads a pair's
+//! windowed count through its row column without a probe.
 //!
 //! No iteration order is maintained: scoring is independent per pair, so
 //! the order the close visits slots in cannot change a result. A freed
@@ -23,7 +25,7 @@
 //! close performs no heap allocation (pinned by `tests/close_allocs.rs`
 //! with a counting allocator).
 
-use enblogue_types::{FxHashMap, Tick};
+use enblogue_types::Tick;
 use enblogue_window::{DecayValue, RingBuffer};
 
 /// Detached per-pair tracked state — the transfer representation used by
@@ -45,13 +47,16 @@ pub struct PairState {
 /// history ring per slot (see the module docs).
 ///
 /// Slots are recycled through a free list: the next insert after a
-/// removal reuses the freed slot.
+/// removal reuses the freed slot. The caller owns uniqueness: the store's
+/// pair table inserts a key only while its row links no slot.
 pub struct PairSlab {
     history_len: usize,
-    /// Key → slot; consulted on ingest and point lookups only.
-    index: FxHashMap<u64, u32>,
+    /// Number of live slots.
+    live_count: usize,
     /// Slot → packed key (stale for dead slots).
     keys: Vec<u64>,
+    /// Slot → pair-table row (stale for dead slots).
+    row: Vec<u32>,
     /// Slot liveness (dead slots are free-listed).
     live: Vec<bool>,
     /// Slot → decayed-max score.
@@ -81,8 +86,9 @@ impl PairSlab {
         assert!(history_len > 0, "history must span at least one tick");
         PairSlab {
             history_len,
-            index: FxHashMap::default(),
+            live_count: 0,
             keys: Vec::new(),
+            row: Vec::new(),
             live: Vec::new(),
             score: Vec::new(),
             last_support: Vec::new(),
@@ -97,31 +103,19 @@ impl PairSlab {
     /// Number of live pairs.
     #[inline]
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.live_count
     }
 
     /// Whether no pair is tracked.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.live_count == 0
     }
 
     /// The history window length.
     #[inline]
     pub fn history_len(&self) -> usize {
         self.history_len
-    }
-
-    /// The slot of `key`, if tracked.
-    #[inline]
-    pub fn slot_of(&self, key: u64) -> Option<usize> {
-        self.index.get(&key).map(|&slot| slot as usize)
-    }
-
-    /// Whether `key` is tracked.
-    #[inline]
-    pub fn contains(&self, key: u64) -> bool {
-        self.index.contains_key(&key)
     }
 
     /// The packed key of `slot`.
@@ -131,13 +125,22 @@ impl PairSlab {
         self.keys[slot]
     }
 
-    /// Allocates a slot for `key` (blank history), registering it in the
-    /// index. The caller fills the columns.
-    fn alloc_slot(&mut self, key: u64) -> usize {
-        let slot = match self.free.pop() {
+    /// The pair-table row of `slot`.
+    #[inline]
+    pub fn row_at(&self, slot: usize) -> u32 {
+        debug_assert!(self.live[slot]);
+        self.row[slot]
+    }
+
+    /// Allocates a slot for `key` at table row `row` (blank history). The
+    /// caller fills the columns.
+    fn alloc_slot(&mut self, key: u64, row: u32) -> usize {
+        self.live_count += 1;
+        match self.free.pop() {
             Some(slot) => {
                 let slot = slot as usize;
                 self.keys[slot] = key;
+                self.row[slot] = row;
                 self.live[slot] = true;
                 self.hist_head[slot] = 0;
                 self.hist_count[slot] = 0;
@@ -146,6 +149,7 @@ impl PairSlab {
             None => {
                 let slot = self.keys.len();
                 self.keys.push(key);
+                self.row.push(row);
                 self.live.push(true);
                 self.score.push(DecayValue::new(1));
                 self.last_support.push(Tick::ZERO);
@@ -155,26 +159,22 @@ impl PairSlab {
                 self.hist_count.push(0);
                 slot
             }
-        };
-        self.index.insert(key, slot as u32);
-        slot
+        }
     }
 
-    /// Starts tracking `key` with a zero score, `backfill_zeros` leading
-    /// 0.0 history values (capped at `history_len - 1`) and both tick
-    /// columns set to `tick`. Returns `false` (no change) if already
-    /// tracked.
+    /// Starts tracking `key` (table row `row`) with a zero score,
+    /// `backfill_zeros` leading 0.0 history values (capped at
+    /// `history_len - 1`) and both tick columns set to `tick`. Returns the
+    /// slot.
     pub fn insert_fresh(
         &mut self,
         key: u64,
+        row: u32,
         tick: Tick,
         backfill_zeros: usize,
         half_life_ms: u64,
-    ) -> bool {
-        if self.index.contains_key(&key) {
-            return false;
-        }
-        let slot = self.alloc_slot(key);
+    ) -> usize {
+        let slot = self.alloc_slot(key, row);
         let zeros = backfill_zeros.min(self.history_len - 1);
         let base = slot * self.history_len;
         self.hist[base..base + zeros].fill(0.0);
@@ -182,19 +182,17 @@ impl PairSlab {
         self.score[slot] = DecayValue::new(half_life_ms);
         self.last_support[slot] = tick;
         self.since[slot] = tick;
-        true
+        slot
     }
 
-    /// Inserts a detached [`PairState`] (snapshot restore). Returns `false` (no change) if `key` is already tracked.
+    /// Inserts a detached [`PairState`] for `key` (table row `row`;
+    /// snapshot restore). Returns the slot.
     ///
     /// # Panics
     /// Panics if the state's history exceeds `history_len`.
-    pub fn insert_state(&mut self, key: u64, state: PairState) -> bool {
-        if self.index.contains_key(&key) {
-            return false;
-        }
+    pub fn insert_state(&mut self, key: u64, row: u32, state: PairState) -> usize {
         assert!(state.history.len() <= self.history_len, "history exceeds the slab window");
-        let slot = self.alloc_slot(key);
+        let slot = self.alloc_slot(key, row);
         let base = slot * self.history_len;
         for (offset, &value) in state.history.iter().enumerate() {
             self.hist[base + offset] = value;
@@ -203,27 +201,17 @@ impl PairSlab {
         self.score[slot] = state.score;
         self.last_support[slot] = state.last_support;
         self.since[slot] = state.since;
-        true
+        slot
     }
 
-    /// Stops tracking the pair at `slot`; the slot is free for the next
-    /// insert.
-    pub fn remove_slot(&mut self, slot: usize) {
+    /// Stops tracking the pair at `slot` and returns its table row; the
+    /// slot is free for the next insert.
+    pub fn remove_slot(&mut self, slot: usize) -> u32 {
         debug_assert!(self.live[slot], "removing a dead slot");
-        self.index.remove(&self.keys[slot]);
         self.live[slot] = false;
+        self.live_count -= 1;
         self.free.push(slot as u32);
-    }
-
-    /// Stops tracking `key`. Returns whether it was tracked.
-    pub fn remove(&mut self, key: u64) -> bool {
-        match self.slot_of(key) {
-            Some(slot) => {
-                self.remove_slot(slot);
-                true
-            }
-            None => false,
-        }
+        self.row[slot]
     }
 
     /// The history ring of `slot` as `(older, newer)` contiguous runs,
@@ -321,12 +309,12 @@ impl PairSlab {
         self.live[slot]
     }
 
-    /// The live keys in ascending order, freshly collected (snapshot and
-    /// inspection paths).
-    pub fn sorted_keys(&self) -> Vec<u64> {
-        let mut keys: Vec<u64> = self.live_slots().map(|slot| self.keys[slot]).collect();
-        keys.sort_unstable();
-        keys
+    /// The live slots in ascending key order, freshly collected (snapshot
+    /// and inspection paths).
+    pub fn slots_by_key(&self) -> Vec<usize> {
+        let mut slots: Vec<usize> = self.live_slots().collect();
+        slots.sort_unstable_by_key(|&slot| self.keys[slot]);
+        slots
     }
 }
 
@@ -342,23 +330,21 @@ mod tests {
     #[test]
     fn insert_remove_roundtrip() {
         let mut s = slab();
-        assert!(s.insert_fresh(10, Tick(1), 2, 1000));
-        assert!(!s.insert_fresh(10, Tick(2), 0, 1000), "double insert is a no-op");
+        let slot = s.insert_fresh(10, 3, Tick(1), 2, 1000);
         assert_eq!(s.len(), 1);
-        let slot = s.slot_of(10).unwrap();
+        assert_eq!((s.key_at(slot), s.row_at(slot)), (10, 3), "key and table row recorded");
         assert_eq!(s.history_parts(slot), (&[0.0, 0.0][..], &[][..]), "backfill zeros");
         assert_eq!(s.last_support_at(slot), Tick(1));
         assert_eq!(s.since_at(slot), Tick(1));
-        assert!(s.remove(10));
-        assert!(!s.remove(10));
+        assert_eq!(s.remove_slot(slot), 3, "removal hands back the row to unlink");
+        assert!(!s.is_live(slot));
         assert!(s.is_empty());
     }
 
     #[test]
     fn history_ring_wraps_in_place() {
         let mut s = slab();
-        s.insert_fresh(7, Tick(0), 0, 1000);
-        let slot = s.slot_of(7).unwrap();
+        let slot = s.insert_fresh(7, 0, Tick(0), 0, 1000);
         for i in 0..6 {
             s.push_history(slot, i as f64);
         }
@@ -367,30 +353,32 @@ mod tests {
         let joined: Vec<f64> = older.iter().chain(newer).copied().collect();
         assert_eq!(joined, vec![2.0, 3.0, 4.0, 5.0]);
         assert_eq!(s.newest_history(slot), Some(5.0));
+        assert_eq!(s.row_at(slot), 0, "scoring never touches the row column");
     }
 
     #[test]
     fn freed_slot_is_reused_without_double_counting() {
         let mut s = slab();
-        for key in [30u64, 10, 20] {
-            s.insert_fresh(key, Tick(0), 0, 1000);
-        }
-        let freed = s.slot_of(20).unwrap();
-        s.remove(20);
+        let slots: Vec<usize> = [(30u64, 0u32), (10, 1), (20, 2)]
+            .map(|(key, row)| s.insert_fresh(key, row, Tick(0), 0, 1000))
+            .to_vec();
+        let freed = slots[2];
+        assert_eq!(s.remove_slot(freed), 2);
         assert!(!s.is_live(freed));
         assert_eq!(s.live_slots().count(), 2);
         // The very next insert takes the freed slot; the bound stays put.
-        s.insert_fresh(5, Tick(1), 0, 1000);
-        assert_eq!(s.slot_of(5), Some(freed));
+        assert_eq!(s.insert_fresh(5, 7, Tick(1), 0, 1000), freed);
+        assert_eq!(s.row_at(freed), 7, "a reused slot records its new row");
         assert_eq!(s.slot_bound(), 3);
         assert_eq!(s.history_count(freed), 0, "a reused slot starts with a blank ring");
         assert_eq!(s.len(), 3);
         let live: Vec<usize> = s.live_slots().collect();
         assert_eq!(live, vec![0, 1, 2], "each live slot is walked exactly once");
-        assert_eq!(s.sorted_keys(), vec![5, 10, 30]);
+        let keys: Vec<u64> = s.slots_by_key().into_iter().map(|slot| s.key_at(slot)).collect();
+        assert_eq!(keys, vec![5, 10, 30]);
         // With the free list empty, the next insert appends.
-        s.insert_fresh(15, Tick(2), 0, 1000);
-        assert_eq!(s.slot_of(15), Some(3));
+        assert_eq!(s.insert_fresh(15, 8, Tick(2), 0, 1000), 3);
+        assert_eq!(s.row_at(3), 8);
         assert_eq!(s.len(), 4);
         assert_eq!(s.live_slots().count(), 4);
     }
@@ -405,21 +393,13 @@ mod tests {
         score.set(Timestamp::from_hours(7), 0.625);
         let state = PairState { history, score, last_support: Tick(6), since: Tick(3) };
         let mut s = slab();
-        assert!(s.insert_state(42, state));
-        let slot = s.slot_of(42).unwrap();
+        let slot = s.insert_state(42, 9, state);
         let (older, newer) = s.history_parts(slot);
         let joined: Vec<f64> = older.iter().chain(newer).copied().collect();
         assert_eq!(joined, vec![0.5, 0.75, 0.9, 0.95], "ring tail survives the insert");
         assert_eq!(s.score_at(slot).value_at(Timestamp::from_hours(7)), 0.625);
         assert_eq!(s.last_support_at(slot), Tick(6));
         assert_eq!(s.since_at(slot), Tick(3));
-        let again = PairState {
-            history: RingBuffer::new(4),
-            score: DecayValue::new(1000),
-            last_support: Tick(0),
-            since: Tick(0),
-        };
-        assert!(!s.insert_state(42, again), "a tracked key is left untouched");
-        assert_eq!(s.since_at(slot), Tick(3));
+        assert_eq!((s.key_at(slot), s.row_at(slot)), (42, 9));
     }
 }

@@ -170,6 +170,7 @@ pub(crate) struct PipelineProbes {
     pub(crate) docs: Counter,
     pub(crate) ticks: Counter,
     pub(crate) pairs_tracked: Gauge,
+    pub(crate) observed_keys: Gauge,
     pub(crate) close_score: Histogram,
     pub(crate) close_expiry: Histogram,
     pub(crate) close_rank: Histogram,
@@ -189,6 +190,7 @@ impl PipelineProbes {
             docs: r.counter("engine.docs"),
             ticks: r.counter("engine.ticks"),
             pairs_tracked: r.gauge("pairs.tracked"),
+            observed_keys: r.gauge("pairs.observed_keys"),
             close_score: r.histogram("close.score.ns"),
             close_expiry: r.histogram("close.expiry.ns"),
             close_rank: r.histogram("close.rank.ns"),
@@ -1388,6 +1390,7 @@ impl StagePipeline {
         self.last_closed = Some(self.last_closed.map_or(tick, |last| last.max(tick)));
         let snapshot = self.state.latest.clone().expect("the rank-emit stage produces a snapshot");
         self.state.probes.pairs_tracked.set(self.state.registry.len() as i64);
+        self.state.probes.observed_keys.set(self.state.registry.observed_keys() as i64);
         self.state.telemetry.journal().record(
             EventKind::TickClose,
             tick.0,

@@ -12,7 +12,8 @@
 //! over the open-tick candidates, shift scoring across every tracked
 //! pair, and eviction. Ranking *emission* is excluded: it returns a
 //! freshly built `Vec` by contract. Ingest of previously seen keys is
-//! also covered (lanes and candidate sets retain their capacity), both
+//! also covered (table rows, tick columns and candidate lists retain
+//! their capacity), both
 //! per observation and as a pre-partitioned batch of counted runs, as is
 //! the seed tracker's dense tag-count refresh.
 
@@ -166,6 +167,112 @@ fn steady_state_close_is_allocation_free() {
     // batch path. Partitioning runs off the applier thread, so batches are
     // built up front and only the apply + close is measured.
     run_apply_is_allocation_free(&seeds, &scorer);
+
+    // Scenario 8: a churning population. Every tick brings fresh keys
+    // (discovery), drops keys whose window drained (support eviction),
+    // overflows the cap (cap eviction) and expires a tick column. The
+    // pair table's row free list, the slab's slot free list, the sealed
+    // columns and the candidate list all reach a fixed capacity, so a
+    // warm churning tick allocates nothing.
+    churning_close_is_allocation_free(&scorer);
+}
+
+/// Churn workload: tick `t` observes tags `(t·STEP + i) mod UNIVERSE` for
+/// `i < SPAN`, so each key is seen for `SPAN / STEP` ticks, lingers in
+/// the window, loses support and is evicted; keys return every
+/// `UNIVERSE / STEP` ticks into recycled rows and slots.
+const CHURN_UNIVERSE: u32 = 600;
+const CHURN_STEP: u32 = 12;
+const CHURN_SPAN: u32 = 24;
+const CHURN_CAP: usize = 120;
+
+fn churn_tick(
+    registry: &mut ShardedPairRegistry,
+    seeds: &FxHashSet<TagId>,
+    s: &ShiftScorer,
+    t: u64,
+) {
+    let tick = Tick(t);
+    for i in 0..CHURN_SPAN {
+        let a = (t as u32 * CHURN_STEP + i) % CHURN_UNIVERSE;
+        registry.observe_pair(tick, TagPair::new(TagId(a), TagId(a + 1000)).packed());
+    }
+    registry.advance_to(tick);
+    registry.discover_seeded(seeds, tick, 2);
+    registry.score_all(tick, Timestamp::from_hours(t), s, |pair, ab| {
+        ab as f64 / (4.0 + (pair.lo().0 % 5) as f64)
+    });
+}
+
+/// Evicted keys of one close, split into `(support, cap)` evictions by
+/// replaying the support rule from outside.
+fn churn_evict(
+    registry: &mut ShardedPairRegistry,
+    last_support: &mut std::collections::BTreeMap<u64, u64>,
+    t: u64,
+) -> (usize, usize) {
+    const WINDOW: u64 = 6;
+    let before = registry.tracked_keys();
+    for &key in &before {
+        let supported = registry.pair_count(TagPair::from_packed(key)) >= 1;
+        let entry = last_support.entry(key).or_insert(t);
+        if supported {
+            *entry = t;
+        }
+    }
+    let stale: Vec<u64> =
+        before.iter().copied().filter(|k| t - last_support[k] >= WINDOW).collect();
+    registry.evict(Tick(t), Timestamp::from_hours(t));
+    let after = registry.tracked_keys();
+    let evicted: Vec<u64> =
+        before.iter().copied().filter(|k| after.binary_search(k).is_err()).collect();
+    for key in &evicted {
+        last_support.remove(key);
+    }
+    assert!(stale.iter().all(|k| evicted.contains(k)), "support eviction removes every stale pair");
+    (stale.len(), evicted.len() - stale.len())
+}
+
+fn churning_close_is_allocation_free(scorer: &ShiftScorer) {
+    let seeds: FxHashSet<TagId> = (0..CHURN_UNIVERSE).map(TagId).collect();
+    let cycle = u64::from(CHURN_UNIVERSE / CHURN_STEP);
+    // Long warm-up: erased index entries leave tombstones, and the index
+    // may grow once, a few cycles in, before it reaches its fixed point.
+    let warm = 6 * cycle;
+    let measured = warm..warm + cycle;
+
+    // A twin run, with bookkeeping, shows what the measured ticks do.
+    let mut twin = ShardedPairRegistry::new(2, 6, Timestamp::DAY, 1, CHURN_CAP);
+    let mut last_support = std::collections::BTreeMap::new();
+    let (mut support, mut cap, mut discovered) = (0, 0, 0);
+    for t in 0..measured.end {
+        let before = twin.discovered_total();
+        churn_tick(&mut twin, &seeds, scorer, t);
+        let (by_support, by_cap) = churn_evict(&mut twin, &mut last_support, t);
+        if measured.contains(&t) {
+            discovered += twin.discovered_total() - before;
+            support += by_support;
+            cap += by_cap;
+        }
+    }
+    assert!(discovered > 0 && support > 0 && cap > 0, "{discovered} {support} {cap}");
+
+    let mut registry = ShardedPairRegistry::new(2, 6, Timestamp::DAY, 1, CHURN_CAP);
+    for t in 0..warm {
+        churn_tick(&mut registry, &seeds, scorer, t);
+        registry.evict(Tick(t), Timestamp::from_hours(t));
+    }
+    let (_, allocs) = alloc_counter::measure(|| {
+        for t in measured.clone() {
+            churn_tick(&mut registry, &seeds, scorer, t);
+            registry.evict(Tick(t), Timestamp::from_hours(t));
+        }
+    });
+    assert_eq!(allocs, 0, "a warm churning close must be allocation-free");
+    assert_eq!(registry.tracked_keys(), twin.tracked_keys(), "the twin ran the same ticks");
+    assert_eq!(registry.len(), CHURN_CAP, "the cap binds");
+    let stats = registry.stats();
+    assert!(stats.observed_keys > registry.len(), "counted keys outnumber tracked ones");
 }
 
 /// The `run_tick` workload as one pre-partitioned batch per tick: every

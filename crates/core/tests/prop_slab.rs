@@ -1,5 +1,5 @@
 //! Property tests for the slab-resident pair storage: the sharded
-//! registry (slab columns, arena history rings, lane-based windowed
+//! registry (slab columns, arena history rings, the pair table's windowed
 //! counts) must be observably indistinguishable from a straightforward
 //! map-of-structs reference model under random ingest / close / evict /
 //! snapshot-restore sequences over any shard count — including bit-exact

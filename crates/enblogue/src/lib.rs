@@ -61,9 +61,9 @@
 //! * `enblogue-types` owns the shard *routing* contract: the fixed hash
 //!   [`types::shard_of_packed`] that assigns each pair key its store;
 //!   every layer that partitions pair state calls the same function.
-//! * `enblogue-window` owns sharded *storage*
-//!   ([`window::ShardedWindowedCounter`]): per-shard windowed pair counts,
-//!   exact because each key lives in exactly one shard.
+//! * `enblogue-window` owns the windowed *primitives*
+//!   ([`window::WindowedCounter`] behind seed selection, rings, decay,
+//!   sketches).
 //! * `enblogue-stats` owns the scoring math; `stats::ShiftScorer` is
 //!   statically asserted `Send + Sync` so one instance is shared by
 //!   reference across shard workers.
@@ -77,7 +77,9 @@
 //!   pipeline.
 //! * `enblogue-core` owns the *semantics*: the five
 //!   [`core::stages::TickStage`]s, the
-//!   [`core::pairs::ShardedPairRegistry`] with its shard fan-out, and the
+//!   [`core::pairs::ShardedPairRegistry`] with its shard fan-out and its
+//!   per-store storage (one [`core::table::PairTable`] key index holding
+//!   the windowed pair counts, candidates and slab links), and the
 //!   two adapters ([`core::engine::EnBlogueEngine`],
 //!   [`core::ingest::ReplayIngest`]).
 //!   Personalization re-ranks the shared snapshot at delivery time — it

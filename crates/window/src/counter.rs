@@ -181,23 +181,6 @@ impl<K: Eq + Hash + Copy> WindowedCounter<K> {
         self.index.get(&key).map_or(0, |&slot| self.totals[slot as usize])
     }
 
-    /// Bulk [`WindowedCounter::count`]: writes `out[i] = count(keys[i])`
-    /// for every key.
-    ///
-    /// This is the tick-close variant — the batched scoring loop fetches
-    /// one tile's worth of windowed actuals in a single call, keeping the
-    /// index probes together instead of interleaving them with scoring
-    /// work. Allocation-free.
-    ///
-    /// # Panics
-    /// Panics if `out` is shorter than `keys`.
-    pub fn counts_for_keys(&self, keys: &[K], out: &mut [u64]) {
-        assert!(out.len() >= keys.len(), "output must hold one count per key");
-        for (o, key) in out.iter_mut().zip(keys.iter()) {
-            *o = self.index.get(key).map_or(0, |&slot| self.totals[slot as usize]);
-        }
-    }
-
     /// The count of `key` in the newest tick only.
     pub fn count_in_newest_tick(&self, key: K) -> u64 {
         self.index
@@ -345,30 +328,6 @@ mod tests {
         c.advance_to(Tick(4)); // tick 2 expires
         assert_eq!(c.count(7), 0);
         assert_eq!(c.distinct_keys(), 0);
-    }
-
-    #[test]
-    fn bulk_counts_match_single_lookups() {
-        let mut c: WindowedCounter<u32> = WindowedCounter::new(3);
-        c.add(Tick(0), 1, 4);
-        c.add(Tick(1), 2, 7);
-        c.add(Tick(2), 1, 1);
-        let keys = [1u32, 2, 3, 1];
-        let mut out = [u64::MAX; 5];
-        c.counts_for_keys(&keys, &mut out);
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(out[i], c.count(k));
-        }
-        assert_eq!(out[4], u64::MAX, "slots past the keys are untouched");
-        c.counts_for_keys(&[], &mut []);
-    }
-
-    #[test]
-    #[should_panic(expected = "one count per key")]
-    fn bulk_counts_reject_short_output() {
-        let c: WindowedCounter<u32> = WindowedCounter::new(2);
-        let mut out = [0u64; 1];
-        c.counts_for_keys(&[1, 2], &mut out);
     }
 
     #[test]

@@ -10,9 +10,6 @@
 //! * [`WindowedCounter`] — exact per-key counts over the last *W* ticks
 //!   (implements the "sliding-window average on the document stream" used
 //!   for seed selection, §3(i)),
-//! * [`ShardedWindowedCounter`] — the same, hash-sharded into *N*
-//!   independent counters so writers route keys and tick close can fan out
-//!   shard-parallel (the pair-count substrate of the sharded registry),
 //! * [`SlidingStats`] — windowed mean/variance for volatility measures,
 //! * [`DecayValue`] — exponentially decaying score with configurable
 //!   half-life (the "exponential decline factor with a half life of
@@ -29,7 +26,6 @@ pub mod counter;
 pub mod decay;
 pub mod hll;
 pub mod ring;
-pub mod sharded;
 pub mod spacesaving;
 pub mod stats;
 pub mod tick_series;
@@ -39,7 +35,6 @@ pub use counter::WindowedCounter;
 pub use decay::{DecayMemo, DecayValue};
 pub use hll::HyperLogLog;
 pub use ring::RingBuffer;
-pub use sharded::ShardedWindowedCounter;
 pub use spacesaving::SpaceSaving;
 pub use stats::SlidingStats;
 pub use tick_series::TickSeries;
